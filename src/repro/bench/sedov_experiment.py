@@ -220,9 +220,14 @@ class SedovSweepResult:
             title="Fig 6a: total runtime by phase",
         )
 
+    def _table_scales(self, scales: Sequence[int] | None) -> List[int]:
+        """Scales a Fig. 6b/6c table lists: the first and last sweep
+        scale by default, each once, in order."""
+        return list(dict.fromkeys(scales or [self.scales()[0], self.scales()[-1]]))
+
     def fig6b_table(self, scales: Sequence[int] | None = None) -> str:
         """Comm & sync normalized to baseline (paper shows 512 & 4096)."""
-        scales = list(scales or [self.scales()[0], self.scales()[-1]])
+        scales = self._table_scales(scales)
         rows = []
         for scale in scales:
             if not self.has(scale, "baseline"):
@@ -248,7 +253,7 @@ class SedovSweepResult:
 
     def fig6c_table(self, scales: Sequence[int] | None = None) -> str:
         """Local/remote message split normalized to baseline total."""
-        scales = list(scales or [self.scales()[0], self.scales()[-1]])
+        scales = self._table_scales(scales)
         rows = []
         for scale in scales:
             if not self.has(scale, "baseline"):

@@ -9,12 +9,6 @@ face/edge/vertex neighbor discovery, and 2:1-balanced refinement.
 from .fast_neighbors import build_neighbor_graph_auto, build_neighbor_graph_fast
 from .geometry import BlockIndex, RootGrid, block_bounds, child_offsets
 from .hilbert import hilbert_encode, hilbert_key, hilbert_sort_blocks
-from .incremental import (
-    BlockSplice,
-    IncrementalUpdateError,
-    splice_blocks,
-    update_neighbor_graph,
-)
 from .mesh import AmrMesh
 from .neighbors import NeighborGraph, NeighborKind, build_neighbor_graph, find_neighbors
 from .octree import OctreeForest
@@ -32,8 +26,6 @@ from .sharding import ShardedBlockTable
 __all__ = [
     "AmrMesh",
     "BlockIndex",
-    "BlockSplice",
-    "IncrementalUpdateError",
     "NeighborGraph",
     "NeighborKind",
     "OctreeForest",
@@ -58,7 +50,5 @@ __all__ = [
     "morton_encode",
     "morton_key",
     "sfc_sort_blocks",
-    "splice_blocks",
     "tag_by_predicate",
-    "update_neighbor_graph",
 ]

@@ -1,9 +1,11 @@
 """High-level AMR mesh facade combining octree, SFC, and neighbor graph.
 
 :class:`AmrMesh` is the object the rest of the library works with: it
-owns the octree forest, caches the SFC-ordered leaf list and the neighbor
-graph (invalidated on mutation), and exposes the refinement entry point
-used by the simulation driver.
+owns the octree forest, caches the SFC-ordered leaf list, geometry
+arrays, block-ID index and neighbor graph, and exposes the refinement
+entry point used by the simulation driver.  Every remesh that changes
+the forest drops all of those caches; each is rebuilt lazily (the graph
+by the vectorized builder) on its next access.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from .geometry import BlockIndex, RootGrid
 from .fast_neighbors import build_neighbor_graph_auto
-from .incremental import IncrementalUpdateError, splice_blocks, update_neighbor_graph
 from .neighbors import NeighborGraph
 from .octree import OctreeForest
 from .refinement import RefinementTags, RemeshDelta, apply_tags
@@ -65,10 +66,6 @@ class AmrMesh:
         self._levels: np.ndarray | None = None
         self._id_of: Dict[BlockIndex, int] | None = None
         self.generation = 0  # bumped on every structural change
-        #: remesh deltas touching more than this fraction of the mesh
-        #: fall back to a full metadata rebuild (the vectorized builder
-        #: wins once most of the mesh changed anyway)
-        self.incremental_max_fraction = 0.25
 
     # ------------------------------------------------------------------ #
     # derived structures (cached)
@@ -101,8 +98,8 @@ class AmrMesh:
         return self._graph
 
     def block_id(self, idx: BlockIndex) -> int:
-        """SFC block ID of a leaf — O(1) via a cached index, maintained
-        incrementally across remesh deltas."""
+        """SFC block ID of a leaf — O(1) via a cached index, rebuilt on
+        first use after each remesh."""
         if self._id_of is None:
             self._id_of = {b: i for i, b in enumerate(self.blocks)}
         try:
@@ -156,62 +153,14 @@ class AmrMesh:
         """Apply refinement tags (2:1-balanced); returns the remesh delta.
 
         The returned :class:`RemeshDelta` still unpacks as the historical
-        ``(n_refined, n_coarsened)`` tuple.  When the neighbor graph is
-        cached and the delta touches a small fraction of the mesh, the
-        cached block list, geometry arrays, block-ID index, and graph
-        are spliced in O(touched) instead of being rebuilt; any
-        inconsistency falls back to full invalidation.
+        ``(n_refined, n_coarsened)`` tuple.  A delta that changed the
+        forest invalidates every cached derived structure; a no-op keeps
+        them.
         """
-        graph = self._graph
-        # No halo probe: the incremental update derives the halo from the
-        # cached graph's edge rows, and the full-rebuild path ignores it.
-        delta = apply_tags(self.forest, tags, collect_halo=False)
+        delta = apply_tags(self.forest, tags)
         if delta.changed:
-            if graph is not None and self._delta_is_small(delta, graph):
-                try:
-                    self._apply_delta(delta, graph)
-                except IncrementalUpdateError:
-                    self._invalidate()
-            else:
-                self._invalidate()
+            self._invalidate()
         return delta
-
-    def _delta_is_small(self, delta: RemeshDelta, graph: NeighborGraph) -> bool:
-        return delta.touched <= self.incremental_max_fraction * max(
-            graph.n_blocks, 1
-        )
-
-    def _apply_delta(self, delta: RemeshDelta, graph: NeighborGraph) -> None:
-        """Splice a remesh delta into every cached derived structure."""
-        old_blocks = self._blocks if self._blocks is not None else graph.blocks
-        id_of = self._id_of
-        if id_of is None:
-            id_of = {b: i for i, b in enumerate(old_blocks)}
-        splice = splice_blocks(old_blocks, id_of, delta)
-        new_graph = update_neighbor_graph(
-            graph, delta, self.forest, splice=splice, id_of=id_of
-        )
-        if len(splice.blocks) != self.forest.n_leaves:
-            raise IncrementalUpdateError(
-                f"spliced {len(splice.blocks)} blocks != {self.forest.n_leaves} leaves"
-            )
-        if self._coords is not None and self._levels is not None:
-            keep = splice.old_to_new >= 0
-            coords = np.empty((len(splice.blocks), self.dim), dtype=np.int64)
-            levels = np.empty(len(splice.blocks), dtype=np.int64)
-            coords[splice.old_to_new[keep]] = self._coords[keep]
-            levels[splice.old_to_new[keep]] = self._levels[keep]
-            for i in splice.added:
-                b = splice.blocks[i]
-                coords[i] = b.coords
-                levels[i] = b.level
-            self._coords, self._levels = coords, levels
-        # graph.blocks is the freshly spliced list; share it so
-        # ``mesh.blocks is mesh.neighbor_graph.blocks`` stays true.
-        self._graph = new_graph
-        self._blocks = new_graph.blocks
-        self._id_of = {b: i for i, b in enumerate(new_graph.blocks)}
-        self.generation += 1
 
     def remesh_by_predicate(
         self,

@@ -9,18 +9,16 @@ most ``2^(dim-1)` neighbors.  This module converts tags into a legal
 sequence of refine/coarsen operations.
 
 :func:`apply_tags` reports what it did as a :class:`RemeshDelta` — the
-refined leaves, the merged parents, and the surviving *halo* of blocks
-adjacent to any removed leaf.  The delta is everything
-:func:`repro.mesh.incremental.update_neighbor_graph` needs to splice a
-cached neighbor graph instead of rebuilding it, and it still unpacks as
-the historical ``(n_refined, n_coarsened)`` tuple.
+refined leaves and the merged parents, in a deterministic order.  The
+delta still unpacks as the historical ``(n_refined, n_coarsened)``
+tuple; :class:`~repro.mesh.AmrMesh` uses it only to decide whether its
+cached metadata must be rebuilt.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .geometry import BlockIndex
 from .neighbors import find_neighbors
@@ -64,13 +62,6 @@ class RemeshDelta:
         they were refined (sorted by ``(level, coords)``).
     coarsened:
         Parents whose sibling sets were merged, in merge order.
-    halo:
-        Surviving leaves that were adjacent (pre-op) to any removed
-        leaf — the blocks whose neighbor rows an incremental graph
-        update must recompute.  Empty when nothing changed, or when the
-        producer skipped halo collection
-        (``apply_tags(..., collect_halo=False)``) because the consumer
-        derives the same set from a cached graph's edge rows.
 
     The delta iterates as ``(n_refined, n_coarsened)`` so historical
     tuple-unpacking call sites keep working.
@@ -78,7 +69,6 @@ class RemeshDelta:
 
     refined: Tuple[BlockIndex, ...]
     coarsened: Tuple[BlockIndex, ...]
-    halo: Tuple[BlockIndex, ...] = ()
 
     @property
     def n_refined(self) -> int:
@@ -92,27 +82,10 @@ class RemeshDelta:
     def changed(self) -> bool:
         return bool(self.refined or self.coarsened)
 
-    def removed_blocks(self) -> List[BlockIndex]:
-        """Pre-op leaves that no longer exist (refined leaves + merged
-        children)."""
-        out = list(self.refined)
-        for p in self.coarsened:
-            out.extend(p.children())
-        return out
-
-    def added_blocks(self) -> List[BlockIndex]:
-        """Post-op leaves that did not exist before (children of refined
-        leaves + merged parents)."""
-        out: List[BlockIndex] = []
-        for b in self.refined:
-            out.extend(b.children())
-        out.extend(self.coarsened)
-        return out
-
     @property
     def touched(self) -> int:
-        """Removed + added leaf count — the work an incremental update
-        is proportional to."""
+        """Removed + added leaf count: how much of the mesh this
+        remesh changed."""
         full_r = 1 << (len(self.refined[0].coords) if self.refined else 0)
         full_c = 1 << (len(self.coarsened[0].coords) if self.coarsened else 0)
         return len(self.refined) * (1 + full_r) + len(self.coarsened) * (1 + full_c)
@@ -131,18 +104,6 @@ def is_two_one_balanced(forest: OctreeForest) -> bool:
             if abs(nb.level - b.level) > 1:
                 return False
     return True
-
-
-def _neighbor_probes(forest: OctreeForest, block: BlockIndex) -> Iterable[BlockIndex]:
-    """Same-level neighbor indices of ``block`` (domain-clipped/wrapped)."""
-    root = forest.root
-    for d in itertools.product((-1, 0, 1), repeat=forest.dim):
-        if not any(d):
-            continue
-        raw = tuple(c + dk for c, dk in zip(block.coords, d))
-        wrapped = root.wrap(block.level, raw)
-        if wrapped is not None:
-            yield BlockIndex(block.level, wrapped)
 
 
 def enforce_two_one_balance(
@@ -218,9 +179,7 @@ def _coarsen_is_safe(
     return True
 
 
-def apply_tags(
-    forest: OctreeForest, tags: RefinementTags, collect_halo: bool = True
-) -> RemeshDelta:
+def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
     """Apply tags to the forest in place; returns a :class:`RemeshDelta`.
 
     Refinement wins over coarsening: the refine set is first closed under
@@ -228,9 +187,6 @@ def apply_tags(
     whose merge does not violate balance against the post-refinement mesh.
 
     The returned delta still unpacks as ``(n_refined, n_coarsened)``.
-    ``collect_halo=False`` skips the pre-mutation halo probe — callers
-    holding a cached neighbor graph read the same set off its edge rows
-    for free, so probing it here would be pure overhead.
     """
     refine = enforce_two_one_balance(forest, set(tags.refine))
 
@@ -254,28 +210,11 @@ def apply_tags(
     refined = sorted(refine, key=lambda x: (x.level, x.coords))
     coarsened = sorted(accepted, key=lambda x: (x.level, x.coords))
 
-    # Halo: surviving pre-op neighbors of every removed leaf, probed
-    # before mutation so they match the cached graph's adjacency.
-    halo: Set[BlockIndex] = set()
-    if collect_halo:
-        removed: Set[BlockIndex] = set(refined)
-        for p in coarsened:
-            removed.update(p.children())
-        depth_limit = forest.max_level
-        for b in removed:
-            for nb in find_neighbors(forest, b, depth_limit=depth_limit):
-                if nb not in removed:
-                    halo.add(nb)
-
     for b in refined:
         forest.refine(b)
     for p in coarsened:
         forest.coarsen(p.children()[0])
-    return RemeshDelta(
-        refined=tuple(refined),
-        coarsened=tuple(coarsened),
-        halo=tuple(sorted(halo, key=lambda x: (x.level, x.coords))),
-    )
+    return RemeshDelta(refined=tuple(refined), coarsened=tuple(coarsened))
 
 
 def tag_by_predicate(

@@ -5,8 +5,8 @@ Times the hot paths the repo's performance claims rest on —
 * **policy kernels**: LPT, restricted CDP, chunked CDP, and CPLX-50
   placement at several problem sizes (the Fig. 7c axis);
 * **mesh ops**: SFC block sort and vectorized neighbor discovery on a
-  randomly refined octree, plus incremental remesh-metadata splicing vs
-  a full rebuild for a small tag set (the delta-update headline);
+  randomly refined octree, plus one small remesh cycle with its
+  neighbor-graph rebuild (a regression tripwire);
 * **scalebench metadata**: one sharded placement pass at beyond-paper
   rank counts (128K+), timing per-shard cost/SFC materialization and
   the streamed makespan reduction;
@@ -232,7 +232,7 @@ def _bench_mesh(
 ) -> None:
     from ..bench.commbench import random_refined_mesh
     from ..mesh.fast_neighbors import build_neighbor_graph_auto
-    from ..mesh.refinement import RefinementTags, apply_tags
+    from ..mesh.refinement import RefinementTags
     from ..mesh.sfc import sfc_sort_blocks
 
     rng = np.random.default_rng(7)
@@ -255,17 +255,15 @@ def _bench_mesh(
     )
     log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
-    # Incremental vs full remesh metadata: one refine-then-coarsen-back
-    # cycle of a single block (the common driver case — a few tags per
-    # step on a large mesh).  The incremental arm goes through the
-    # AmrMesh splice path on a graph-warmed mesh; the full arm applies
-    # the same tags and rebuilds the graph from scratch.  The warmup run
-    # absorbs any one-time 2:1 ripple refinements, after which the cycle
-    # is a fixed point of the forest.
-    _ = mesh.neighbor_graph
+    # Remesh metadata: one refine-then-coarsen-back cycle of a single
+    # block (the common driver case — a few tags per step on a large
+    # mesh), each half followed by the neighbor-graph rebuild its
+    # invalidation forces.  The warmup run absorbs any one-time 2:1
+    # ripple refinements, after which the cycle is a fixed point of the
+    # forest.
     target = next(b for b in mesh.blocks if b.level < mesh.forest.max_level)
 
-    def cycle_incremental():
+    def cycle():
         tags = RefinementTags()
         tags.refine.add(target)
         mesh.remesh(tags)
@@ -275,31 +273,9 @@ def _bench_mesh(
         mesh.remesh(back)
         _ = mesh.neighbor_graph
 
-    def cycle_full():
-        tags = RefinementTags()
-        tags.refine.add(target)
-        apply_tags(mesh.forest, tags, collect_halo=False)
-        build_neighbor_graph_auto(mesh.forest)
-        back = RefinementTags()
-        back.coarsen.update(target.children())
-        apply_tags(mesh.forest, back, collect_halo=False)
-        build_neighbor_graph_auto(mesh.forest)
-
-    inc = f"mesh.remesh_incremental.n{n}"
-    metrics[inc] = _time_case(cycle_incremental, params["mesh_repeats"])
-    full = f"mesh.remesh_full.n{n}"
-    metrics[full] = _time_case(cycle_full, params["mesh_repeats"])
-    # cycle_full mutated the forest behind the mesh's caches; drop them
-    # so later consumers of ``mesh`` never see a stale graph.
-    mesh._invalidate()
-    derived["mesh.remesh_incremental_speedup"] = (
-        metrics[full]["median_s"] / metrics[inc]["median_s"]
-    )
-    log(
-        f"remesh metadata: incremental {metrics[inc]['median_s'] * 1e3:.2f} ms, "
-        f"full rebuild {metrics[full]['median_s'] * 1e3:.2f} ms "
-        f"({derived['mesh.remesh_incremental_speedup']:.2f}x)"
-    )
+    metric = f"mesh.remesh.n{n}"
+    metrics[metric] = _time_case(cycle, params["mesh_repeats"])
+    log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
 
 def _bench_scalebench(

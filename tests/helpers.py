@@ -1,4 +1,5 @@
-"""Shared test helpers (random structure generators, live job service)."""
+"""Shared test helpers (random structure generators, warmed meshes, live
+job service)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import time
 
 import numpy as np
 
+from repro.mesh import AmrMesh
 from repro.mesh.geometry import RootGrid
 from repro.mesh.octree import OctreeForest
 
@@ -80,6 +82,14 @@ def random_forest(seed: int, n_ops: int = 12, dim: int = 2) -> OctreeForest:
             if candidates:
                 forest.coarsen(candidates[int(rng.integers(len(candidates)))])
     return forest
+
+
+def warmed_mesh(shape, periodic, max_level=3) -> AmrMesh:
+    """An :class:`AmrMesh` whose neighbor graph and geometry are cached."""
+    mesh = AmrMesh(RootGrid(shape, periodic=periodic), max_level=max_level)
+    _ = mesh.neighbor_graph
+    _ = mesh.levels()
+    return mesh
 
 
 def random_edges(rng: np.random.Generator, n_blocks: int, factor: int = 2) -> np.ndarray:

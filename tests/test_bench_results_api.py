@@ -38,6 +38,13 @@ class TestSweepResultApi:
                      tiny_sweep.fig6c_table(), tiny_sweep.table_i_text()):
             assert len(text.splitlines()) >= 3
 
+    def test_fig6bc_one_row_per_arm_on_single_scale(self, tiny_sweep):
+        # A one-scale sweep's first and last scale coincide; the table
+        # must list that scale once, not once per end.
+        for text in (tiny_sweep.fig6b_table(), tiny_sweep.fig6c_table()):
+            rows = text.splitlines()[3:]
+            assert len(rows) == len(tiny_sweep.labels())
+
     def test_outcome_properties(self, tiny_sweep):
         o = tiny_sweep.at(512, "CPL50")
         assert o.wall_s > 0

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.mesh import AmrMesh
 from repro.mesh.geometry import BlockIndex, RootGrid
 from repro.mesh.octree import OctreeForest
 from repro.mesh.refinement import (
     RefinementTags,
+    RemeshDelta,
     apply_tags,
     enforce_two_one_balance,
     is_two_one_balanced,
     tag_by_predicate,
 )
 
-from tests.helpers import random_forest
+from tests.helpers import random_forest, warmed_mesh
 
 
 class TestTags:
@@ -147,3 +149,98 @@ class TestTagByPredicate:
         f = OctreeForest(RootGrid((2, 2)), max_level=0)
         tags = tag_by_predicate(f, should_refine=lambda b: True)
         assert not tags.refine
+
+
+# ---------------------------------------------------------------------- #
+# RemeshDelta
+# ---------------------------------------------------------------------- #
+
+
+class TestRemeshDelta:
+    def test_unpacks_as_historical_tuple(self):
+        mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
+        target = mesh.blocks[0]
+        n_ref, n_coars = mesh.remesh(RefinementTags(refine={target}))
+        assert (n_ref, n_coars) == (1, 0)
+
+    def test_bool_and_counts(self):
+        empty = RemeshDelta(refined=(), coarsened=())
+        assert not empty and not empty.changed
+        one = RemeshDelta(refined=(BlockIndex(0, (0, 0)),), coarsened=())
+        assert one and one.n_refined == 1 and one.n_coarsened == 0
+
+    def test_touched(self):
+        b = BlockIndex(1, (0, 0))
+        p = BlockIndex(0, (1, 0))
+        d = RemeshDelta(refined=(b,), coarsened=(p,))
+        # 2D: each event removes/adds 1 + 4 leaves
+        assert d.touched == 2 * (1 + 4)
+
+
+# ---------------------------------------------------------------------- #
+# block_id maintenance
+# ---------------------------------------------------------------------- #
+
+
+class TestBlockId:
+    def test_block_id_matches_list_index(self):
+        mesh = warmed_mesh((2, 2), (False, False))
+        mesh.remesh(RefinementTags(refine={mesh.blocks[1]}))
+        for i, b in enumerate(mesh.blocks):
+            assert mesh.block_id(b) == i
+
+    def test_block_id_rejects_non_leaf(self):
+        mesh = warmed_mesh((2, 2), (False, False))
+        target = mesh.blocks[0]
+        mesh.remesh(RefinementTags(refine={target}))
+        with pytest.raises(ValueError):
+            mesh.block_id(target)  # refined away — no longer a leaf
+
+
+# ---------------------------------------------------------------------- #
+# balance closure cost (deep cascade regression)
+# ---------------------------------------------------------------------- #
+
+
+class TestBalanceCascade:
+    def deep_gradient_forest(self, max_level=5):
+        """A corner-refined level gradient: the worst cascade shape."""
+        mesh = AmrMesh(RootGrid((2, 2)), max_level=max_level)
+        corner = BlockIndex(0, (0, 0))
+        # stop one level short so the deepest corner leaf is refinable
+        for _ in range(max_level - 1):
+            apply_tags(mesh.forest, RefinementTags(refine={corner}))
+            corner = corner.children()[0]
+        assert is_two_one_balanced(mesh.forest)
+        # The domain-corner leaf only has same-level siblings; its
+        # diagonal sibling abuts the coarser transition layers, so
+        # refining it ripples down the whole gradient.
+        far = BlockIndex(corner.level, tuple(c + 1 for c in corner.coords))
+        assert far in mesh.forest
+        return mesh.forest, far
+
+    def test_deep_cascade_closure_correct(self):
+        forest, corner = self.deep_gradient_forest()
+        closed = enforce_two_one_balance(forest, {corner})
+        assert corner in closed
+        assert len(closed) > 1  # the refinement ripples down the gradient
+        for b in closed:
+            forest.refine(b)
+        assert is_two_one_balanced(forest)
+
+    def test_closure_probes_each_block_once(self, monkeypatch):
+        import repro.mesh.refinement as refinement_mod
+
+        forest, corner = self.deep_gradient_forest()
+        calls = {"n": 0}
+        real = refinement_mod.find_neighbors
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(refinement_mod, "find_neighbors", counting)
+        closed = enforce_two_one_balance(forest, {corner})
+        # Linear closure: exactly one probe per block that enters the
+        # result — rediscovered or max-level blocks are never re-probed.
+        assert calls["n"] == len(closed)
