@@ -142,12 +142,9 @@ def prepare_redistribution(
     remote bandwidth (in cells/s, block payloads converted accordingly).
 
     ``ctx`` is forwarded to the policy so capacity-aware policies can
-    weight placement by hardware class (``None`` keeps the historical
-    call path bit for bit).
+    weight placement by hardware class.
     """
-    result = policy.place(costs, n_ranks, ctx=ctx) if ctx is not None else policy.place(
-        costs, n_ranks
-    )
+    result = policy.place(costs, n_ranks, ctx=ctx)
     empty = np.empty(0, dtype=np.int64)
     if prev_assignment is None:
         return RedistributionPlan(result, None, 0, 0.0, empty, empty)

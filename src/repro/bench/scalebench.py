@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.metrics import normalized_makespan
+from ..core.metrics import load_stats, normalized_makespan
 from ..core.policy import get_policy
 from ..perf.executor import parallel_map
 from ..perf.supervisor import (
@@ -103,6 +103,8 @@ class ScalebenchConfig:
             from ..simnet.cluster import parse_node_classes
 
             parse_node_classes(self.node_classes)  # fail fast on bad specs
+        for x in self.x_values:
+            get_policy(f"cplx:{x}")  # fail fast on X outside [0, 100]
 
     def effective_shard_ranks(self, n_ranks: int) -> Optional[int]:
         """Rank-window size for one cell, or ``None`` for the global path."""
@@ -153,17 +155,6 @@ def _cell_context(cell: "_ScalebenchCell"):
     return hetero_cluster(cell.n_ranks, cell.config.node_classes).placement_context()
 
 
-def _slice_ctx(ctx, lo: int, hi: int):
-    """Rank-window slice of a context (sharded path)."""
-    if ctx is None:
-        return None
-    return dataclasses.replace(
-        ctx,
-        rank_speed=ctx.rank_speed[lo:hi],
-        rank_nic_gbps=ctx.rank_nic_gbps[lo:hi],
-    )
-
-
 def _place_sharded(
     policy, cell: "_ScalebenchCell", base_seed: int, shard_ranks: int, ctx=None
 ) -> Tuple[float, float, int]:
@@ -200,20 +191,11 @@ def _place_sharded(
         costs = cols["cost"]
         lo, hi = rank_bounds[s], rank_bounds[s + 1]
         ranks_s = hi - lo
-        sub_ctx = _slice_ctx(ctx, lo, hi)
-        if sub_ctx is not None:
-            result = policy.place(costs, ranks_s, ctx=sub_ctx)
-            loads = np.bincount(
-                result.assignment, weights=costs, minlength=ranks_s
-            ).astype(np.float64)
-            # completion times: raw shard loads over the window's speeds
-            loads = loads / sub_ctx.rank_speed
-        else:
-            result = policy.place(costs, ranks_s)
-            loads = np.bincount(
-                result.assignment, weights=costs, minlength=ranks_s
-            ).astype(np.float64)
-        max_load = max(max_load, float(loads.max()) if ranks_s else 0.0)
+        sub_ctx = None if ctx is None else ctx.slice(lo, hi)
+        result = policy.place(costs, ranks_s, ctx=sub_ctx)
+        # with a context, loads are completion times over the window's speeds
+        stats = load_stats(costs, result.assignment, ranks_s, ctx=sub_ctx)
+        max_load = max(max_load, stats.makespan)
         total += float(costs.sum())
         elapsed += result.elapsed_s
     denom = n_ranks if ctx is None else ctx.total_capacity()
@@ -236,18 +218,10 @@ def _run_scalebench_cell(cell: _ScalebenchCell) -> ScalebenchRow:
         base_seed = config.seed + 7919 * rep + cell.n_ranks
         if shard_ranks is None:
             costs = make_costs(cell.distribution, n_blocks, seed=base_seed)
-            if ctx is None:
-                result = policy.place(costs, cell.n_ranks)
-                ms.append(
-                    normalized_makespan(costs, result.assignment, cell.n_ranks)
-                )
-            else:
-                result = policy.place(costs, cell.n_ranks, ctx=ctx)
-                ms.append(
-                    normalized_makespan(
-                        costs, result.assignment, cell.n_ranks, ctx=ctx
-                    )
-                )
+            result = policy.place(costs, cell.n_ranks, ctx=ctx)
+            ms.append(
+                normalized_makespan(costs, result.assignment, cell.n_ranks, ctx=ctx)
+            )
             ts.append(result.elapsed_s)
         else:
             norm, elapsed, _peak = _place_sharded(

@@ -36,7 +36,7 @@ from ..perf.supervisor import (
     supervised_map,
 )
 from ..simnet.cluster import Cluster
-from .reporting import cplx_label, format_table
+from .reporting import format_table
 
 __all__ = [
     "SedovSweepConfig",
@@ -78,6 +78,12 @@ class SedovSweepConfig:
     #: mixed-hardware cluster spec (``fast:0.5x16,slow:1.0x48``); ``None``
     #: keeps the historical homogeneous sweep bit for bit
     node_classes: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Resolve every arm once: a bad name fails here, naming the
+        # policy, instead of after the cells before it have run.
+        for name in self.policies:
+            get_policy(name)
 
     def sweep_cluster(self, n_ranks: int) -> Cluster:
         """The cluster a cell at ``n_ranks`` runs on."""
@@ -353,12 +359,8 @@ def _run_sweep_cell(cell: _SweepCell) -> Tuple[PolicyOutcome, Dict[str, int]]:
         policy, trajectory, cluster, config.driver,
         hooks=[profiler] if profiler else None,
     )
-    if cell.policy.startswith("cplx:"):
-        label = cplx_label(float(cell.policy.split(":")[1]))
-    elif cell.policy.startswith("hetero-cplx:"):
-        label = "H" + cplx_label(float(cell.policy.split(":")[1]))
-    else:
-        label = cell.policy
+    # ``name:X`` arms report their paper-style label (CPL50, HCPL50).
+    label = policy.label if ":" in cell.policy else cell.policy
     outcome = PolicyOutcome(
         scale=cell.scale,
         policy_label=label,

@@ -295,12 +295,12 @@ def _run_spec(kind: str, params: dict, args) -> int:
 
     try:
         supervise = _supervisor_config(args)
-    except ValueError as exc:
+        spec = spec_from_params(
+            kind, params, jobs=args.jobs, supervise=supervise
+        )
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = spec_from_params(
-        kind, params, jobs=args.jobs, supervise=supervise
-    )
     result = JobRunner().run(spec)
     sys.stdout.write(result.text)
     return result.exit_code

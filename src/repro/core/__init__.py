@@ -40,7 +40,7 @@ from .ilp import (
     solve_hetero_makespan_bnb,
     solve_makespan_bnb,
 )
-from .lpt import LPTPolicy, lpt_assign, lpt_assign_subset
+from .lpt import LPTPolicy, lpt_assign
 from .metrics import (
     DEFAULT_MESSAGE_WEIGHTS,
     LoadStats,
@@ -55,6 +55,7 @@ from .policy import (
     PlacementPolicy,
     PlacementResult,
     PolicyArgumentError,
+    PolicyNameError,
     available_policies,
     get_policy,
     register_policy,
@@ -87,6 +88,7 @@ __all__ = [
     "PlacementPolicy",
     "PlacementResult",
     "PolicyArgumentError",
+    "PolicyNameError",
     "REFERENCE_NIC_GBPS",
     "assignment_from_counts",
     "available_policies",
@@ -103,7 +105,6 @@ __all__ = [
     "hetero_makespan_lower_bound",
     "load_stats",
     "lpt_assign",
-    "lpt_assign_subset",
     "makespan_lower_bound",
     "measure_policy",
     "message_stats",

@@ -6,12 +6,13 @@ contiguous chunks of approximately equal *cost*, hand each chunk a
 contiguous subset of ranks, and solve CDP independently per chunk
 (parallel-processable; at 4096 ranks with 512 ranks per chunk there are
 8 chunks).  The result is not globally optimal but serves as CPLX's
-intermediate stage, where the loss is immaterial.
+intermediate stage, where the loss is immaterial.  The decomposition
+(:func:`zone_ranges`) is the one zonal placement (:mod:`repro.core.zonal`)
+runs any inner policy on; chunked CDP is zonal CDP.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from .cdp import cdp_restricted
 from .context import PlacementContext
 from .policy import PlacementPolicy, register_policy
 
-__all__ = ["ChunkedCDPPolicy", "split_chunks", "chunked_cdp_counts"]
+__all__ = ["ChunkedCDPPolicy", "split_chunks", "zone_ranges", "chunked_cdp_counts"]
 
 
 def split_chunks(costs: np.ndarray, n_chunks: int) -> List[Tuple[int, int]]:
@@ -75,57 +76,54 @@ def _rank_shares(chunk_costs: np.ndarray, n_ranks: int) -> np.ndarray:
     return shares
 
 
-def chunked_cdp_counts(
-    costs: np.ndarray,
-    n_ranks: int,
-    ranks_per_chunk: int = 512,
-    parallel: bool = False,
-) -> np.ndarray:
-    """Per-rank contiguous counts from chunk-parallel restricted CDP.
+def zone_ranges(
+    costs: np.ndarray, n_ranks: int, ranks_per_zone: int
+) -> List[Tuple[int, int, int, int]]:
+    """Cost-balanced SFC zones, each with a proportional contiguous rank range.
 
-    Parameters
-    ----------
-    ranks_per_chunk:
-        Target chunk granularity in ranks (the paper uses 512).  The
-        number of chunks is ``ceil(n_ranks / ranks_per_chunk)``.
-    parallel:
-        Solve chunks in a thread pool.  The DP is pure Python, so this
-        mainly documents the parallel decomposition the paper exploits in
-        C++; it is correct either way and defaults to serial.
+    The one decomposition behind chunked CDP (§V-C) and zonal placement
+    (Fig. 7c): ``ceil(n_ranks / ranks_per_zone)`` zones, capped by the
+    rank and block counts, cut by :func:`split_chunks` and given ranks by
+    :func:`_rank_shares`.  Returns ``[(block_lo, block_hi, rank_lo,
+    rank_hi), ...]`` half-open ranges; one zone covers everything.
     """
+    if ranks_per_zone < 1:
+        raise ValueError(f"ranks per zone must be >= 1, got {ranks_per_zone}")
     n = int(costs.shape[0])
-    if ranks_per_chunk < 1:
-        raise ValueError("ranks_per_chunk must be >= 1")
-    n_chunks = max(1, -(-n_ranks // ranks_per_chunk))
-    n_chunks = min(n_chunks, n_ranks, max(n, 1))
-    if n_chunks == 1:
-        return cdp_restricted(costs, n_ranks)
-
-    ranges = split_chunks(costs, n_chunks)
-    chunk_costs = np.asarray(
+    n_zones = min(max(1, -(-n_ranks // ranks_per_zone)), n_ranks, max(n, 1))
+    if n_zones == 1:
+        return [(0, n, 0, n_ranks)]
+    ranges = split_chunks(costs, n_zones)
+    zone_costs = np.asarray(
         [float(costs[a:b].sum()) for a, b in ranges], dtype=np.float64
     )
-    shares = _rank_shares(chunk_costs, n_ranks)
+    bounds = np.concatenate([[0], np.cumsum(_rank_shares(zone_costs, n_ranks))])
+    return [
+        (a, b, int(bounds[z]), int(bounds[z + 1]))
+        for z, (a, b) in enumerate(ranges)
+    ]
 
-    def solve(i: int) -> np.ndarray:
-        a, b = ranges[i]
-        return cdp_restricted(costs[a:b], int(shares[i]))
 
-    if parallel:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            parts = list(pool.map(solve, range(n_chunks)))
-    else:
-        parts = [solve(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
+def chunked_cdp_counts(
+    costs: np.ndarray, n_ranks: int, ranks_per_chunk: int = 512
+) -> np.ndarray:
+    """Per-rank contiguous counts from per-chunk restricted CDP.
+
+    ``ranks_per_chunk`` is the chunk granularity in ranks (the paper
+    uses 512); chunks are the zones of :func:`zone_ranges`.
+    """
+    return np.concatenate([
+        cdp_restricted(costs[a:b], hi - lo)
+        for a, b, lo, hi in zone_ranges(costs, n_ranks, ranks_per_chunk)
+    ])
 
 
 @register_policy("cdp-chunked")
 class ChunkedCDPPolicy(PlacementPolicy):
-    """Chunk-parallel restricted CDP (the scalable CDP used inside CPLX)."""
+    """Chunked restricted CDP, i.e. zonal CDP (the scalable CDP inside CPLX)."""
 
-    def __init__(self, ranks_per_chunk: int = 512, parallel: bool = False) -> None:
+    def __init__(self, ranks_per_chunk: int = 512) -> None:
         self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     def compute(
         self,
@@ -134,6 +132,6 @@ class ChunkedCDPPolicy(PlacementPolicy):
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
         counts = chunked_cdp_counts(
-            costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk, parallel=self.parallel
+            costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk
         )
         return assignment_from_counts(counts)

@@ -111,11 +111,6 @@ class PlacementContext:
         """True when the cluster is effectively homogeneous."""
         return self.uniform_speed and self.uniform_nic
 
-    def capacity(self) -> np.ndarray:
-        """Per-rank throughput (alias of ``rank_speed``); a rank with
-        load ``L`` finishes in ``L / capacity`` time units."""
-        return self.rank_speed
-
     def total_capacity(self) -> float:
         """Sum of per-rank throughputs — the hetero area-bound divisor
         (``Q || C_max`` analogue of ``n_ranks``)."""
@@ -123,6 +118,14 @@ class PlacementContext:
 
     def node_of(self, ranks: np.ndarray | int) -> np.ndarray | int:
         return np.asarray(ranks) // self.ranks_per_node
+
+    def slice(self, lo: int, hi: int) -> "PlacementContext":
+        """The sub-context of ranks ``[lo, hi)`` (a zone or a shard window)."""
+        return dataclasses.replace(
+            self,
+            rank_speed=self.rank_speed[lo:hi],
+            rank_nic_gbps=self.rank_nic_gbps[lo:hi],
+        )
 
     def __repr__(self) -> str:  # arrays are noisy; summarize
         return (

@@ -18,7 +18,7 @@ CPLX therefore:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .context import PlacementContext
 from .lpt import lpt_assign
 from .policy import PlacementPolicy, register_policy
 
-__all__ = ["CPLX", "select_rebalance_ranks"]
+__all__ = ["CPLX", "repool", "select_rebalance_ranks"]
 
 
 def select_rebalance_ranks(
@@ -62,6 +62,28 @@ def select_rebalance_ranks(
     return np.unique(np.concatenate([top, bot])).astype(np.int64)
 
 
+def repool(
+    costs: np.ndarray,
+    assignment: np.ndarray,
+    ranks: np.ndarray,
+    assign: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Pool every block owned by ``ranks`` and re-place the pool on them.
+
+    ``assign`` maps the pooled costs to local indices into ``ranks``
+    (plain or speed-scaled LPT).  Returns a new array; fewer than two
+    ranks, or an empty pool, return ``assignment`` itself.
+    """
+    if ranks.shape[0] < 2:
+        return assignment
+    block_ids = np.nonzero(np.isin(assignment, ranks))[0]
+    if block_ids.shape[0] == 0:
+        return assignment
+    assignment = assignment.copy()
+    assignment[block_ids] = ranks[assign(costs[block_ids])]
+    return assignment
+
+
 @register_policy("cplx")
 class CPLX(PlacementPolicy):
     """Tunable hybrid of CDP (locality) and LPT (balance).
@@ -73,21 +95,13 @@ class CPLX(PlacementPolicy):
         paper's notation, e.g. ``CPLX(x_percent=50)`` == CPL50).
     ranks_per_chunk:
         Chunk granularity forwarded to the CDP stage.
-    parallel:
-        Solve CDP chunks in a thread pool.
     """
 
-    def __init__(
-        self,
-        x_percent: float = 50.0,
-        ranks_per_chunk: int = 512,
-        parallel: bool = False,
-    ) -> None:
+    def __init__(self, x_percent: float = 50.0, ranks_per_chunk: int = 512) -> None:
         if not 0.0 <= x_percent <= 100.0:
             raise ValueError(f"X must be in [0, 100], got {x_percent}")
         self.x_percent = float(x_percent)
         self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     @property
     def label(self) -> str:
@@ -101,26 +115,33 @@ class CPLX(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
-        counts = chunked_cdp_counts(
-            costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk, parallel=self.parallel
-        )
-        assignment = assignment_from_counts(counts)
+        assignment = assignment_from_counts(self._split(costs, n_ranks, ctx))
         if self.x_percent == 0.0 or costs.shape[0] == 0 or n_ranks < 2:
             return assignment
+        return self._rebalance(costs, assignment, n_ranks, ctx)
 
+    def _split(
+        self, costs: np.ndarray, n_ranks: int, ctx: Optional[PlacementContext]
+    ) -> np.ndarray:
+        """Step 1: per-rank counts of the contiguous (chunked CDP) split."""
+        return chunked_cdp_counts(costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk)
+
+    def _rebalance(
+        self,
+        costs: np.ndarray,
+        assignment: np.ndarray,
+        n_ranks: int,
+        ctx: Optional[PlacementContext],
+    ) -> np.ndarray:
+        """Steps 2-4: re-place the X% most and least loaded ranks with LPT."""
         loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
         ranks = select_rebalance_ranks(loads, self.x_percent)
-        if ranks.shape[0] < 2:
-            return assignment
-
-        mask = np.isin(assignment, ranks)
-        block_ids = np.nonzero(mask)[0]
-        if block_ids.shape[0] == 0:
-            return assignment
-        local = lpt_assign(costs[block_ids], int(ranks.shape[0]))
-        assignment = assignment.copy()
-        assignment[block_ids] = ranks[local]
-        return assignment
+        return repool(
+            costs, assignment, ranks, lambda pool: lpt_assign(pool, ranks.shape[0])
+        )
 
     def __repr__(self) -> str:
-        return f"CPLX(x_percent={self.x_percent}, ranks_per_chunk={self.ranks_per_chunk})"
+        return (
+            f"{type(self).__name__}(x_percent={self.x_percent}, "
+            f"ranks_per_chunk={self.ranks_per_chunk})"
+        )

@@ -24,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..mesh.neighbors import NeighborGraph
+from .context import PlacementContext
 from .metrics import DEFAULT_MESSAGE_WEIGHTS
 from .policy import PlacementPolicy
 
@@ -176,7 +177,12 @@ class GraphPartitionPolicy(PlacementPolicy):
         self.graph = graph
         self.refine_passes = refine_passes
 
-    def compute(self, costs: np.ndarray, n_ranks: int) -> np.ndarray:
+    def compute(
+        self,
+        costs: np.ndarray,
+        n_ranks: int,
+        ctx: Optional[PlacementContext] = None,
+    ) -> np.ndarray:
         if costs.shape[0] != self.graph.n_blocks:
             raise ValueError(
                 f"policy built for {self.graph.n_blocks} blocks, got {costs.shape[0]}"

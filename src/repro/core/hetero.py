@@ -10,8 +10,8 @@ Three registered policies exploit a
   capacity-proportional contiguous split (fast ranks take longer SFC
   runs) followed by the usual X% rank rebalance, with rank "load"
   measured as completion time and the pooled blocks re-placed by
-  speed-scaled LPT.  On uniform speeds it delegates to plain CPLX, bit
-  for bit.
+  speed-scaled LPT.  It subclasses CPLX and overrides only those two
+  steps, so on uniform speeds it *is* plain CPLX, bit for bit.
 * ``hetero-ilp`` — exact branch-and-bound on uniform machines for small
   instances (the paper's Gurobi-reference arm generalized), falling
   back to speed-scaled LPT beyond ``max_exact_blocks``.
@@ -19,7 +19,7 @@ Three registered policies exploit a
 All three satisfy the homogeneous-invariance contract: with ``ctx=None``
 or a uniform-speed context they return the same assignments as their
 homogeneous counterparts (pinned by the parity suite in
-``tests/test_policy_context.py``).
+``tests/test_hetero_context.py``).
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import assignment_from_counts, contiguous_counts
+from .baseline import contiguous_counts
 from .context import PlacementContext
-from .cplx import CPLX, select_rebalance_ranks
-from .lpt import lpt_assign
+from .cplx import CPLX, repool, select_rebalance_ranks
+from .lpt import LPTPolicy
 from .policy import PlacementPolicy, register_policy
 
 __all__ = [
@@ -129,7 +129,7 @@ def capacity_contiguous_counts(costs: np.ndarray, speeds: np.ndarray) -> np.ndar
 
 
 @register_policy("hetero-lpt")
-class HeteroLPTPolicy(PlacementPolicy):
+class HeteroLPTPolicy(LPTPolicy):
     """Speed-scaled LPT (``Q || C_max`` greedy); plain LPT when uniform."""
 
     def compute(
@@ -139,73 +139,50 @@ class HeteroLPTPolicy(PlacementPolicy):
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
         if ctx is None or ctx.uniform_speed:
-            return lpt_assign(costs, n_ranks)
+            return super().compute(costs, n_ranks, ctx)
         _check_ctx(ctx, n_ranks)
         return hetero_lpt_assign(costs, ctx.rank_speed)
 
 
 @register_policy("hetero-cplx")
-class HeteroCPLX(PlacementPolicy):
+class HeteroCPLX(CPLX):
     """Capacity-aware CPLX: hetero contiguous split + X% LPT rebalance.
 
-    Parameters mirror :class:`~repro.core.cplx.CPLX`; with ``ctx=None``
-    or uniform speeds the computation *is* plain CPLX (delegated, so
-    homogeneous assignments are bit-identical to ``cplx:<X>``).
+    Overrides only CPLX's two steps; with ``ctx=None`` or uniform speeds
+    both defer to CPLX, so homogeneous assignments are bit-identical to
+    ``cplx:<X>``.
     """
-
-    def __init__(
-        self,
-        x_percent: float = 50.0,
-        ranks_per_chunk: int = 512,
-        parallel: bool = False,
-    ) -> None:
-        self._inner = CPLX(
-            x_percent=x_percent, ranks_per_chunk=ranks_per_chunk, parallel=parallel
-        )
-        self.x_percent = self._inner.x_percent
-        self.ranks_per_chunk = ranks_per_chunk
-        self.parallel = parallel
 
     @property
     def label(self) -> str:
         """Paper-style name with a hetero prefix, e.g. ``HCPL50``."""
-        return "H" + self._inner.label
+        return "H" + super().label
 
-    def compute(
-        self,
-        costs: np.ndarray,
-        n_ranks: int,
-        ctx: Optional[PlacementContext] = None,
+    def _split(
+        self, costs: np.ndarray, n_ranks: int, ctx: Optional[PlacementContext]
     ) -> np.ndarray:
         if ctx is None or ctx.uniform_speed:
-            return self._inner.compute(costs, n_ranks)
+            return super()._split(costs, n_ranks, ctx)
         _check_ctx(ctx, n_ranks)
-        speeds = ctx.rank_speed
-        counts = capacity_contiguous_counts(costs, speeds)
-        assignment = assignment_from_counts(counts)
-        if self.x_percent == 0.0 or costs.shape[0] == 0 or n_ranks < 2:
-            return assignment
+        return capacity_contiguous_counts(costs, ctx.rank_speed)
 
+    def _rebalance(
+        self,
+        costs: np.ndarray,
+        assignment: np.ndarray,
+        n_ranks: int,
+        ctx: Optional[PlacementContext],
+    ) -> np.ndarray:
+        if ctx is None or ctx.uniform_speed:
+            return super()._rebalance(costs, assignment, n_ranks, ctx)
+        speeds = ctx.rank_speed
         loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
         # Rebalance selection ranks by *completion time*, not raw load:
         # a fast rank with a heavy window may be perfectly on schedule.
         ranks = select_rebalance_ranks(loads / speeds, self.x_percent)
-        if ranks.shape[0] < 2:
-            return assignment
-
-        mask = np.isin(assignment, ranks)
-        block_ids = np.nonzero(mask)[0]
-        if block_ids.shape[0] == 0:
-            return assignment
-        local = hetero_lpt_assign(costs[block_ids], speeds[ranks])
-        assignment = assignment.copy()
-        assignment[block_ids] = ranks[local]
-        return assignment
-
-    def __repr__(self) -> str:
-        return (
-            f"HeteroCPLX(x_percent={self.x_percent}, "
-            f"ranks_per_chunk={self.ranks_per_chunk})"
+        return repool(
+            costs, assignment, ranks,
+            lambda pool: hetero_lpt_assign(pool, speeds[ranks]),
         )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .context import PlacementContext
 from .policy import PlacementPolicy, register_policy
 
-__all__ = ["LPTPolicy", "lpt_assign", "lpt_assign_subset"]
+__all__ = ["LPTPolicy", "lpt_assign"]
 
 
 def lpt_assign(
@@ -34,8 +34,7 @@ def lpt_assign(
     n_ranks:
         Number of ranks.
     initial_loads:
-        Optional pre-existing per-rank load (used by CPLX when
-        rebalancing a subset of ranks that keep some of their blocks).
+        Optional pre-existing per-rank load the greedy starts from.
 
     Notes
     -----
@@ -60,27 +59,6 @@ def lpt_assign(
         assignment[bid] = rank
         heapq.heappush(heap, (load + float(costs[bid]), rank))
     return assignment
-
-
-def lpt_assign_subset(
-    costs: np.ndarray,
-    block_ids: np.ndarray,
-    rank_ids: np.ndarray,
-    assignment: np.ndarray,
-) -> np.ndarray:
-    """Re-place a subset of blocks onto a subset of ranks with LPT.
-
-    ``block_ids`` are re-assigned among ``rank_ids`` only; all other
-    blocks keep their ranks (their loads are *not* seeded into the
-    rebalance because CPLX removes every block of a selected rank before
-    re-placing — see :mod:`repro.core.cplx`).  Returns a new assignment
-    array; the input is not modified.
-    """
-    out = assignment.copy()
-    sub_costs = costs[block_ids]
-    local = lpt_assign(sub_costs, int(rank_ids.shape[0]))
-    out[block_ids] = rank_ids[local]
-    return out
 
 
 @register_policy("lpt")

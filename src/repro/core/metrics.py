@@ -105,10 +105,8 @@ def normalized_makespan(
     total = float(np.asarray(costs).sum())
     if total <= 0:
         return 1.0
-    if ctx is None:
-        return load_stats(costs, assignment, n_ranks).makespan / (total / n_ranks)
-    mk = load_stats(costs, assignment, n_ranks, ctx=ctx).makespan
-    return mk / (total / ctx.total_capacity())
+    capacity = n_ranks if ctx is None else ctx.total_capacity()
+    return load_stats(costs, assignment, n_ranks, ctx=ctx).makespan / (total / capacity)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,10 +9,9 @@ assignment (paper §V).  Policies receive:
 * ``n_ranks`` — number of simulation ranks.
 * ``ctx`` — an optional :class:`~repro.core.context.PlacementContext`
   describing per-rank hardware (compute speed, NIC tier).  ``None``
-  means the historical homogeneous regime; policies unaware of the
-  context (including pre-migration third-party subclasses with a
-  two-argument ``compute``) are simply called without it and behave as
-  before, bit for bit.
+  means the historical homogeneous regime.  Every ``compute`` takes the
+  ``ctx`` keyword and every caller passes it; policies unaware of the
+  context ignore it.
 
 and return an ``(n,)`` int64 array ``assignment`` with
 ``assignment[block_id] = rank``.
@@ -39,6 +38,7 @@ __all__ = [
     "PlacementPolicy",
     "PlacementResult",
     "PolicyArgumentError",
+    "PolicyNameError",
     "register_policy",
     "get_policy",
     "available_policies",
@@ -97,23 +97,6 @@ def validate_assignment(assignment: np.ndarray, n_blocks: int, n_ranks: int) -> 
         raise ValueError(f"rank ids [{lo}, {hi}] outside [0, {n_ranks})")
 
 
-@functools.lru_cache(maxsize=None)
-def _compute_accepts_ctx(cls: type) -> bool:
-    """Whether ``cls.compute`` takes a ``ctx`` keyword.
-
-    Pre-migration subclasses (two-argument ``compute``) exist in the
-    wild; :meth:`PlacementPolicy.place` only forwards a context to
-    implementations that declare one, so those keep working untouched.
-    """
-    try:
-        params = inspect.signature(cls.compute).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    if "ctx" in params:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
-
-
 class PlacementPolicy(abc.ABC):
     """Base class for placement policies.
 
@@ -147,8 +130,7 @@ class PlacementPolicy(abc.ABC):
         """Validated, timed placement computation.
 
         ``n_ranks`` may be omitted when ``ctx`` is given (it is then
-        ``ctx.n_ranks``); passing both requires them to agree.  With
-        ``ctx=None`` the call path is byte-for-byte the historical one.
+        ``ctx.n_ranks``); passing both requires them to agree.
         """
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         if costs.ndim != 1:
@@ -169,10 +151,7 @@ class PlacementPolicy(abc.ABC):
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         t0 = time.perf_counter()
-        if ctx is not None and _compute_accepts_ctx(type(self)):
-            assignment = self.compute(costs, n_ranks, ctx=ctx)
-        else:
-            assignment = self.compute(costs, n_ranks)
+        assignment = self.compute(costs, n_ranks, ctx=ctx)
         elapsed = time.perf_counter() - t0
         validate_assignment(assignment, costs.shape[0], n_ranks)
         return PlacementResult(
@@ -254,32 +233,51 @@ def _construct_policy(name, ctor, kwargs, reserved=()):
     return ctor(**kwargs)
 
 
+class PolicyNameError(ValueError):
+    """A ``name:X`` shorthand whose ``X`` is not a percentage in [0, 100].
+
+    Carries the policy name, so a sweep front end rejects the arm by
+    name when the sweep is configured, not when its cell runs.
+    """
+
+    def __init__(self, policy: str, reason: str) -> None:
+        self.policy = str(policy)
+        super().__init__(f"policy {self.policy!r}: {reason}")
+
+
+#: Registered policies that take the ``name:X`` shorthand for
+#: ``x_percent=X`` (``cplx:50`` == CPL50, ``hetero-cplx:50`` == HCPL50).
+_X_SHORTHANDS = ("cplx", "hetero-cplx")
+
+
+def _shorthand_x(name: str, arg: str) -> float:
+    try:
+        x = float(arg)
+    except ValueError:
+        raise PolicyNameError(name, f"X must be a number, got {arg!r}") from None
+    if not 0.0 <= x <= 100.0:
+        raise PolicyNameError(name, f"X must be in [0, 100], got {arg}")
+    return x
+
+
 def get_policy(name: str, **kwargs) -> PlacementPolicy:
     """Instantiate a registered policy by name.
 
-    ``cplx:<X>`` is accepted as shorthand for ``CPLX(x_percent=X)``, so
-    the evaluation sweeps can be driven by strings (``cplx:50`` == CPL50);
-    ``hetero-cplx:<X>`` is the capacity-aware analogue.  ``guarded``
-    builds the default budgeted fallback chain
-    (:class:`repro.resilience.guard.GuardedPolicy`); all are resolved
-    lazily to keep import cycles out of the registry.  Unexpected keyword
-    arguments raise :class:`PolicyArgumentError` naming the policy and
-    its accepted parameters.
+    ``<name>:<X>`` is shorthand for ``x_percent=X`` on the policies in
+    :data:`_X_SHORTHANDS`, so the evaluation sweeps can be driven by
+    strings (``cplx:50`` == CPL50); a bad ``X`` raises
+    :class:`PolicyNameError`.  ``guarded`` builds the default budgeted
+    fallback chain (:class:`repro.resilience.guard.GuardedPolicy`),
+    resolved lazily to keep an import cycle out of the registry.
+    Unexpected keyword arguments raise :class:`PolicyArgumentError`
+    naming the policy and its accepted parameters.
     """
-    if name.startswith("cplx:"):
-        from .cplx import CPLX
-
-        x = float(name.split(":", 1)[1])
+    base, sep, arg = name.partition(":")
+    if sep and base in _X_SHORTHANDS:
         return _construct_policy(
-            name, functools.partial(CPLX, x_percent=x), kwargs,
-            reserved=("x_percent",),
-        )
-    if name.startswith("hetero-cplx:"):
-        from .hetero import HeteroCPLX
-
-        x = float(name.split(":", 1)[1])
-        return _construct_policy(
-            name, functools.partial(HeteroCPLX, x_percent=x), kwargs,
+            name,
+            functools.partial(_REGISTRY[base], x_percent=_shorthand_x(name, arg)),
+            kwargs,
             reserved=("x_percent",),
         )
     if name == "guarded":

@@ -8,39 +8,25 @@ hierarchical load balancing).
 
 :class:`ZonalPolicy` is the generic version of the chunking already
 inside CDP: it splits the SFC-ordered blocks into cost-balanced zones,
-gives each zone a proportional contiguous rank range, and runs *any*
-inner policy per zone (optionally in a thread pool).  Zones contain
-contiguous SFC ranges, so zonal placement preserves inter-zone locality
-by construction; quality loss is confined to cross-zone rebalancing
-opportunities, which the ablation bench quantifies.
+gives each zone a proportional contiguous rank range (the same
+:func:`~repro.core.chunked.zone_ranges` decomposition), and runs *any*
+inner policy per zone.  Zones contain contiguous SFC ranges, so zonal
+placement preserves inter-zone locality by construction; quality loss
+is confined to cross-zone rebalancing opportunities, which the ablation
+bench quantifies.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
 
-from .chunked import _rank_shares, split_chunks
+from .chunked import zone_ranges
 from .context import PlacementContext
-from .policy import PlacementPolicy, _compute_accepts_ctx, register_policy
+from .policy import PlacementPolicy, register_policy
 
 __all__ = ["ZonalPolicy"]
-
-
-def _slice_context(
-    ctx: Optional[PlacementContext], lo: int, hi: int
-) -> Optional[PlacementContext]:
-    """The sub-context covering ranks ``[lo, hi)`` of a zone (or None)."""
-    if ctx is None or hi <= lo:
-        return None
-    return dataclasses.replace(
-        ctx,
-        rank_speed=ctx.rank_speed[lo:hi],
-        rank_nic_gbps=ctx.rank_nic_gbps[lo:hi],
-    )
 
 
 @register_policy("zonal")
@@ -56,15 +42,12 @@ class ZonalPolicy(PlacementPolicy):
         configuration for extreme scales.
     ranks_per_zone:
         Zone granularity in ranks.
-    parallel:
-        Solve zones in a thread pool.
     """
 
     def __init__(
         self,
         inner_factory: Callable[[], PlacementPolicy] | None = None,
         ranks_per_zone: int = 1024,
-        parallel: bool = False,
     ) -> None:
         if ranks_per_zone < 1:
             raise ValueError("ranks_per_zone must be >= 1")
@@ -74,7 +57,6 @@ class ZonalPolicy(PlacementPolicy):
             inner_factory = lambda: CPLX(x_percent=50.0)  # noqa: E731
         self.inner_factory = inner_factory
         self.ranks_per_zone = ranks_per_zone
-        self.parallel = parallel
 
     def compute(
         self,
@@ -82,39 +64,9 @@ class ZonalPolicy(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
-        n = int(costs.shape[0])
-        n_zones = max(1, -(-n_ranks // self.ranks_per_zone))
-        n_zones = min(n_zones, n_ranks, max(n, 1))
-        if n_zones == 1:
-            return self._solve_inner(costs, n_ranks, ctx)
-
-        ranges = split_chunks(costs, n_zones)
-        zone_costs = np.asarray(
-            [float(costs[a:b].sum()) for a, b in ranges], dtype=np.float64
-        )
-        shares = _rank_shares(zone_costs, n_ranks)
-        rank_offsets = np.concatenate([[0], np.cumsum(shares)])
-
-        def solve(z: int) -> np.ndarray:
-            a, b = ranges[z]
-            lo, hi = int(rank_offsets[z]), int(rank_offsets[z] + shares[z])
-            sub_ctx = _slice_context(ctx, lo, hi)
-            local = self._solve_inner(costs[a:b], int(shares[z]), sub_ctx)
-            return local + rank_offsets[z]
-
-        if self.parallel:
-            with concurrent.futures.ThreadPoolExecutor() as pool:
-                parts = list(pool.map(solve, range(n_zones)))
-        else:
-            parts = [solve(z) for z in range(n_zones)]
+        parts = []
+        for a, b, lo, hi in zone_ranges(costs, n_ranks, self.ranks_per_zone):
+            zone_ctx = None if ctx is None else ctx.slice(lo, hi)
+            inner = self.inner_factory()
+            parts.append(inner.compute(costs[a:b], hi - lo, ctx=zone_ctx) + lo)
         return np.concatenate(parts)
-
-    def _solve_inner(
-        self, costs: np.ndarray, n_ranks: int, ctx: Optional[PlacementContext]
-    ) -> np.ndarray:
-        """Run a fresh inner policy, forwarding the context when it can
-        take one (pre-migration inner policies keep their 2-arg call)."""
-        inner = self.inner_factory()
-        if ctx is not None and _compute_accepts_ctx(type(inner)):
-            return inner.compute(costs, n_ranks, ctx=ctx)
-        return inner.compute(costs, n_ranks)

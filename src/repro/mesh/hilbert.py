@@ -27,19 +27,6 @@ from .geometry import BlockIndex
 __all__ = ["hilbert_encode", "hilbert_key", "hilbert_sort_blocks"]
 
 
-def _to_transpose(codes: np.ndarray, dim: int, bits: int) -> np.ndarray:
-    """Split Hilbert indices into the per-axis 'transpose' bit matrix."""
-    n = codes.shape[0]
-    x = np.zeros((n, dim), dtype=np.uint64)
-    for b in range(bits * dim):
-        axis = b % dim
-        src_bit = bits * dim - 1 - b
-        dst_bit = bits - 1 - (b // dim)
-        bitval = (codes >> np.uint64(src_bit)) & np.uint64(1)
-        x[:, axis] |= bitval << np.uint64(dst_bit)
-    return x
-
-
 def hilbert_encode(coords: np.ndarray, bits: int) -> np.ndarray:
     """Hilbert indices of integer points (inverse of the Skilling map).
 

@@ -24,6 +24,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..amr.driver import DriverConfig, RunSummary
+from ..core.policy import get_policy
 from ..amr.sedov import SedovConfig, SedovEpoch, SedovWorkload
 from ..engine.hooks import PhaseProfilerHook
 from ..perf.executor import parallel_map
@@ -102,6 +103,9 @@ class ResilienceExperimentConfig:
     cancel_path: Optional[str] = dataclasses.field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        get_policy(self.policy)  # fail fast, naming a bad policy
 
     def timeline(self) -> FaultTimeline:
         events = []

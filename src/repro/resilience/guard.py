@@ -30,12 +30,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.context import PlacementContext
-from ..core.policy import (
-    PlacementPolicy,
-    _compute_accepts_ctx,
-    get_policy,
-    validate_assignment,
-)
+from ..core.policy import PlacementPolicy, get_policy, validate_assignment
 
 __all__ = ["GuardEvent", "GuardedPolicy", "DEFAULT_CHAIN"]
 
@@ -128,10 +123,7 @@ class GuardedPolicy(PlacementPolicy):
                     )
                 t0 = time.perf_counter()
                 try:
-                    if ctx is not None and _compute_accepts_ctx(type(tier)):
-                        out = tier.compute(costs, n_ranks, ctx=ctx)
-                    else:
-                        out = tier.compute(costs, n_ranks)
+                    out = tier.compute(costs, n_ranks, ctx=ctx)
                     validate_assignment(out, n_blocks, n_ranks)
                 except ValueError as exc:
                     # Either the tier raised on its inputs or returned a

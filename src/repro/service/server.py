@@ -534,6 +534,16 @@ class JobService:
                 return {"ok": True, "job_id": existing_id,
                         "state": existing.state, "deduped": True}
 
+        # Build the spec before anything can be shed: an invalid submit
+        # (unknown kind, bad policy name) is rejected without displacing
+        # a queued job.  The supervisor config needs the job id, which
+        # is only allocated once the submit is admitted.
+        spec = spec_from_params(
+            kind, params, tenant=tenant, priority=priority, jobs=jobs
+        )
+        if resume_of is not None and resume_of not in self.jobs:
+            raise KeyError(f"unknown resume_of job {resume_of!r}")
+
         shash = spec_hash(kind, params) if kind else ""
         if (
             self.store is not None
@@ -565,25 +575,17 @@ class JobService:
         seq = next(self._ids)
         job_id = f"job-{seq:04d}"
         if resume_of is not None:
-            previous = self.jobs.get(resume_of)
-            if previous is None:
-                raise KeyError(f"unknown resume_of job {resume_of!r}")
-            journal_dir = previous.journal_dir
+            journal_dir = self.jobs[resume_of].journal_dir
         else:
             journal_dir = str(Path(self.config.journal_root) / job_id)
-        supervise = SupervisorConfig(
-            journal_dir=journal_dir,
-            resume=resume_of is not None,
-            live_events=True,
-            cancel_grace_s=self.config.cancel_grace_s,
-        )
-        spec = spec_from_params(
-            kind,
-            params,
-            tenant=tenant,
-            priority=priority,
-            jobs=jobs,
-            supervise=supervise,
+        spec = dataclasses.replace(
+            spec,
+            supervise=SupervisorConfig(
+                journal_dir=journal_dir,
+                resume=resume_of is not None,
+                live_events=True,
+                cancel_grace_s=self.config.cancel_grace_s,
+            ),
         )
         job = _Job(
             job_id=job_id,

@@ -55,6 +55,19 @@ class TestCommands:
         assert "Fig 6a" in out
         assert "best" in out
 
+    def test_sedov_bad_policy_fails_before_any_cell(self, capsys, monkeypatch):
+        from repro.bench import sedov_experiment
+
+        def no_cell(cell):
+            raise AssertionError(f"cell {cell.policy} ran")
+
+        monkeypatch.setattr(sedov_experiment, "_run_sweep_cell", no_cell)
+        assert main(["sedov", "--scales", "512", "--steps", "40",
+                     "--policies", "baseline", "cplx:abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: policy 'cplx:abc'" in captured.err
+
     def test_sedov_profile_prints_phase_breakdown(self, capsys):
         assert main(["sedov", "--scales", "512", "--steps", "100",
                      "--policies", "baseline", "--profile"]) == 0

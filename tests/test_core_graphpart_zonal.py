@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CPLX,
+    CDPPolicy,
+    ChunkedCDPPolicy,
     GraphPartitionPolicy,
     LPTPolicy,
     ZonalPolicy,
@@ -100,13 +101,12 @@ class TestZonal:
             assert (a[s:e] >= offsets[z]).all()
             assert (a[s:e] < offsets[z + 1]).all()
 
-    def test_parallel_matches_serial(self, rng):
-        costs = rng.exponential(1.0, size=400)
-        ser = ZonalPolicy(lambda: CPLX(x_percent=50), ranks_per_zone=32,
-                          parallel=False).compute(costs, 128)
-        par = ZonalPolicy(lambda: CPLX(x_percent=50), ranks_per_zone=32,
-                          parallel=True).compute(costs, 128)
-        assert np.array_equal(ser, par)
+    @pytest.mark.parametrize("n_ranks,k", [(7, 2), (128, 32), (500, 64)])
+    def test_zonal_cdp_is_chunked_cdp(self, rng, n_ranks, k):
+        costs = rng.exponential(1.0, size=3 * n_ranks)
+        zonal = ZonalPolicy(CDPPolicy, ranks_per_zone=k).compute(costs, n_ranks)
+        chunked = ChunkedCDPPolicy(ranks_per_chunk=k).compute(costs, n_ranks)
+        assert np.array_equal(zonal, chunked)
 
     def test_registered(self):
         p = get_policy("zonal")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.core import (
     load_stats,
     lpt_assign,
-    lpt_assign_subset,
     makespan_lower_bound,
     solve_makespan_bnb,
 )
+from repro.core.cplx import repool
 
 small_instances = st.tuples(
     st.lists(st.floats(0.1, 10.0), min_size=1, max_size=12),
@@ -76,7 +76,9 @@ class TestLPT:
         assignment = np.repeat(np.arange(5), 2)
         block_ids = np.array([0, 1, 8, 9])
         rank_ids = np.array([0, 4])
-        out = lpt_assign_subset(costs, block_ids, rank_ids, assignment)
+        out = repool(
+            costs, assignment, rank_ids, lambda pool: lpt_assign(pool, 2)
+        )
         untouched = np.setdiff1d(np.arange(10), block_ids)
         assert np.array_equal(out[untouched], assignment[untouched])
         assert set(out[block_ids]) <= {0, 4}

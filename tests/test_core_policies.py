@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import (
     BaselinePolicy,
     CPLX,
+    PolicyNameError,
     assignment_from_counts,
     available_policies,
     contiguous_counts,
@@ -35,6 +36,28 @@ class TestRegistry:
     def test_unknown_policy(self):
         with pytest.raises(KeyError, match="unknown policy"):
             get_policy("does-not-exist")
+
+    @pytest.mark.parametrize(
+        "name", ["cplx:abc", "cplx:", "hetero-cplx:150", "cplx:-1", "cplx:nan"]
+    )
+    def test_bad_shorthand_names_the_policy(self, name):
+        with pytest.raises(PolicyNameError, match="X must") as exc:
+            get_policy(name)
+        assert exc.value.policy == name
+        assert repr(name) in str(exc.value)
+
+    def test_sweep_config_resolves_policies(self):
+        from repro.service import spec_from_params
+
+        with pytest.raises(PolicyNameError) as exc:
+            spec_from_params("sedov", {"policies": ["baseline", "cplx:abc"]})
+        assert exc.value.policy == "cplx:abc"
+        with pytest.raises(KeyError, match="nope"):
+            spec_from_params("sedov", {"policies": ["nope"]})
+        with pytest.raises(PolicyNameError, match="cplx:120"):
+            spec_from_params("scalebench", {"x_values": [50, 120]})
+        with pytest.raises(KeyError, match="nope"):
+            spec_from_params("resilience", {"policy": "nope"})
 
 
 class TestPlaceValidation:

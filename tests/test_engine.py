@@ -27,8 +27,8 @@ class _DetPolicy:
         self._elapsed = elapsed_s
         self.name = self._inner.name
 
-    def place(self, costs, n_ranks):
-        result = self._inner.place(costs, n_ranks)
+    def place(self, costs, n_ranks, ctx=None):
+        result = self._inner.place(costs, n_ranks, ctx=ctx)
         return dataclasses.replace(result, elapsed_s=self._elapsed)
 
 

@@ -197,21 +197,21 @@ class TestClusterEviction:
 class _Exploding(PlacementPolicy):
     name = "exploding"
 
-    def compute(self, costs, n_ranks):
+    def compute(self, costs, n_ranks, ctx=None):
         raise RuntimeError("solver segfault")
 
 
 class _Invalid(PlacementPolicy):
     name = "invalid"
 
-    def compute(self, costs, n_ranks):
+    def compute(self, costs, n_ranks, ctx=None):
         return np.full(costs.shape[0], n_ranks + 7, dtype=np.int64)
 
 
 class _Slow(PlacementPolicy):
     name = "slow"
 
-    def compute(self, costs, n_ranks):
+    def compute(self, costs, n_ranks, ctx=None):
         import time
 
         time.sleep(0.02)

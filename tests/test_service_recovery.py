@@ -432,6 +432,28 @@ class TestOverloadShedding:
             assert c.result(winner, timeout_s=300)["state"] == "done"
 
 
+    def test_invalid_submit_on_full_queue_sheds_nothing(self, live_service):
+        svc = live_service(
+            quotas=QuotaConfig(
+                max_active=1, max_active_per_tenant=1,
+                max_queued=1, max_queued_per_tenant=1,
+            )
+        )
+        bad = dict(TINY, policies=["baseline", "cplx:abc"])
+        with svc.client() as c:
+            running = c.submit("sedov", TINY, tenant="t0")
+            queued = c.submit("sedov", TINY, tenant="t1", priority=0)
+            # The queue is full and the submit outranks the queued job,
+            # but it is invalid: it is rejected before any shedding.
+            with pytest.raises(ServiceError) as exc:
+                c.call({"op": "submit", "kind": "sedov", "params": bad,
+                        "tenant": "t2", "priority": 5})
+            assert exc.value.response["ok"] is False
+            assert "cplx:abc" in exc.value.response["error"]
+            assert c.result(queued, timeout_s=300)["state"] == "done"
+            assert c.result(running, timeout_s=300)["state"] == "done"
+
+
 # ---------------------------------------------------------------------- #
 # graceful drain shutdown
 # ---------------------------------------------------------------------- #

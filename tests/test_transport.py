@@ -311,9 +311,9 @@ class _DetPolicy:
         self._inner = get_policy("lpt")
         self.name = self._inner.name
 
-    def place(self, costs, n_ranks):
+    def place(self, costs, n_ranks, ctx=None):
         return dataclasses.replace(
-            self._inner.place(costs, n_ranks), elapsed_s=0.001
+            self._inner.place(costs, n_ranks, ctx=ctx), elapsed_s=0.001
         )
 
 
