@@ -34,8 +34,8 @@ import numpy as np
 
 from ..core.metrics import load_stats, normalized_makespan
 from ..core.policy import get_policy
-from ..perf.executor import parallel_map
 from ..perf.supervisor import (
+    STRICT,
     CellFailure,
     SupervisedReport,
     SupervisorConfig,
@@ -244,15 +244,11 @@ def run_scalebench(config: ScalebenchConfig, jobs: int = 1) -> List[ScalebenchRo
     ``jobs`` shards the independent cells across a process pool
     (``jobs=0`` = one worker per CPU); the row order and every
     assignment-derived value are identical to the serial run (placement
-    times are host measurements and vary run to run either way).
+    times are host measurements and vary run to run either way).  The
+    first failing cell raises
+    :class:`~repro.perf.executor.CellExecutionError`.
     """
-    cells = [
-        _ScalebenchCell(config=config, n_ranks=n_ranks, distribution=dist, x=x)
-        for n_ranks in config.scales
-        for dist in config.distributions
-        for x in config.x_values
-    ]
-    return parallel_map(_run_scalebench_cell, cells, jobs)
+    return run_scalebench_supervised(config, jobs, supervise=STRICT).rows
 
 
 @dataclasses.dataclass
@@ -300,9 +296,7 @@ def run_scalebench_supervised(
         for x in config.x_values
     ]
     report = supervised_map(
-        _run_scalebench_cell, cells, jobs,
-        config=supervise if supervise is not None else SupervisorConfig(),
-        on_event=on_event,
+        _run_scalebench_cell, cells, jobs, config=supervise, on_event=on_event
     )
     return ScalebenchResult(
         rows=[r for r in report.results if not isinstance(r, CellFailure)],

@@ -28,8 +28,8 @@ from ..amr.driver import DriverConfig, RunSummary, run_trajectory
 from ..amr.sedov import SedovConfig, SedovEpoch, scaled_config, table_i_config
 from ..core.policy import get_policy
 from ..engine.hooks import PhaseProfilerHook
-from ..perf.executor import parallel_map
 from ..perf.supervisor import (
+    STRICT,
     CellFailure,
     SupervisedReport,
     SupervisorConfig,
@@ -397,25 +397,21 @@ def run_sedov_sweep(
     quarantined into ``result.failures`` instead of aborting the sweep,
     and a configured journal makes the sweep resumable after any
     interruption (every surviving cell still bit-identical to serial).
+    Without it the first failing cell raises
+    :class:`~repro.perf.executor.CellExecutionError`.
     """
     cells = [
         _SweepCell(config=config, scale=scale, policy=name)
         for scale in config.scales
         for name in config.policies
     ]
-    if supervise is None:
-        pairs = parallel_map(_run_sweep_cell, cells, jobs)
-        report = None
-        failures: List[CellFailure] = []
-    else:
-        report = supervised_map(
-            _run_sweep_cell, cells, jobs, config=supervise, on_event=on_event
-        )
-        failures = report.failures
-        pairs = [
-            r if not isinstance(r, CellFailure) else None
-            for r in report.results
-        ]
+    report = supervised_map(
+        _run_sweep_cell, cells, jobs, config=supervise or STRICT,
+        on_event=on_event,
+    )
+    pairs = [
+        r if not isinstance(r, CellFailure) else None for r in report.results
+    ]
     outcomes = [pair[0] for pair in pairs if pair is not None]
     table_i: List[Dict[str, int]] = []
     seen_scales: set = set()
@@ -426,5 +422,6 @@ def run_sedov_sweep(
             seen_scales.add(cell.scale)
             table_i.append(pair[1])
     return SedovSweepResult(
-        outcomes=outcomes, table_i=table_i, failures=failures, executor=report
+        outcomes=outcomes, table_i=table_i, failures=report.failures,
+        executor=report if supervise is not None else None,
     )

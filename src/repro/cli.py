@@ -518,9 +518,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A bad policy name, in any subcommand, prints ``error: ...`` and
+    exits 2.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    from .core.policy import PolicyNameError, UnknownPolicyError
+
+    try:
+        return _COMMANDS[args.command](args)
+    except (PolicyNameError, UnknownPolicyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,6 +56,7 @@ from .policy import (
     PlacementResult,
     PolicyArgumentError,
     PolicyNameError,
+    UnknownPolicyError,
     available_policies,
     get_policy,
     register_policy,
@@ -89,6 +90,7 @@ __all__ = [
     "PlacementResult",
     "PolicyArgumentError",
     "PolicyNameError",
+    "UnknownPolicyError",
     "REFERENCE_NIC_GBPS",
     "assignment_from_counts",
     "available_policies",

@@ -39,6 +39,7 @@ __all__ = [
     "PlacementResult",
     "PolicyArgumentError",
     "PolicyNameError",
+    "UnknownPolicyError",
     "register_policy",
     "get_policy",
     "available_policies",
@@ -245,6 +246,23 @@ class PolicyNameError(ValueError):
         super().__init__(f"policy {self.policy!r}: {reason}")
 
 
+class UnknownPolicyError(KeyError):
+    """A policy name that is not registered.
+
+    A ``KeyError`` (a lookup by name failed) whose message prints
+    unquoted, so a front end can show it as is.
+    """
+
+    def __init__(self, policy: str) -> None:
+        self.policy = str(policy)
+        super().__init__(
+            f"unknown policy {self.policy!r}; known: {sorted(_REGISTRY)}"
+        )
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 #: Registered policies that take the ``name:X`` shorthand for
 #: ``x_percent=X`` (``cplx:50`` == CPL50, ``hetero-cplx:50`` == HCPL50).
 _X_SHORTHANDS = ("cplx", "hetero-cplx")
@@ -266,7 +284,8 @@ def get_policy(name: str, **kwargs) -> PlacementPolicy:
     ``<name>:<X>`` is shorthand for ``x_percent=X`` on the policies in
     :data:`_X_SHORTHANDS`, so the evaluation sweeps can be driven by
     strings (``cplx:50`` == CPL50); a bad ``X`` raises
-    :class:`PolicyNameError`.  ``guarded`` builds the default budgeted
+    :class:`PolicyNameError` and an unknown name
+    :class:`UnknownPolicyError`.  ``guarded`` builds the default budgeted
     fallback chain (:class:`repro.resilience.guard.GuardedPolicy`),
     resolved lazily to keep an import cycle out of the registry.
     Unexpected keyword arguments raise :class:`PolicyArgumentError`
@@ -284,11 +303,9 @@ def get_policy(name: str, **kwargs) -> PlacementPolicy:
         from ..resilience.guard import GuardedPolicy
 
         return _construct_policy(name, GuardedPolicy, kwargs)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown policy {name!r}; known: {sorted(_REGISTRY)}") from None
-    return _construct_policy(name, factory, kwargs)
+    if name not in _REGISTRY:
+        raise UnknownPolicyError(name)
+    return _construct_policy(name, _REGISTRY[name], kwargs)
 
 
 def available_policies() -> Iterator[str]:

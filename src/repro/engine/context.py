@@ -37,7 +37,7 @@ import numpy as np
 from ..amr.block import BlockCostTracker
 from ..amr.redistribution import RedistributionOutcome, RedistributionPlan
 from ..core.policy import PlacementPolicy
-from ..perf.cache import PatternCache
+from ..perf.cache import PatternCacheHandle
 from ..simnet.cluster import Cluster
 from ..simnet.runtime import BSPModel, ExchangePattern
 from ..simnet.tuning import TuningConfig
@@ -113,8 +113,9 @@ class EngineContext:
     placement_charge: Optional[float] = None
     lb_per_rank: float = 0.0
     pattern: Optional[ExchangePattern] = None
-    #: epoch-pipeline cache (None = caching disabled for this run)
-    pattern_cache: Optional[PatternCache] = None
+    #: this run's view of the shared pattern store (service runs only;
+    #: None = compute every epoch's pattern directly)
+    pattern_cache: Optional[PatternCacheHandle] = None
     sample_count: int = 0                 #: sampled steps this epoch (k)
     step_weight: float = 1.0              #: real steps per sampled step
     epoch_wall: float = 0.0               #: simulated wall of this epoch

@@ -44,7 +44,7 @@ from ..amr.redistribution import (
 )
 from ..core.metrics import message_stats
 from ..core.policy import PlacementPolicy
-from ..perf.cache import maybe_cache, shared_cache_handle
+from ..perf.cache import PatternCacheStats, shared_cache_handle
 from ..simnet.cluster import Cluster
 from ..simnet.faults import FaultModel
 from ..simnet.runtime import BSPModel, ExchangePattern
@@ -101,10 +101,6 @@ class EpochEngine:
                 maybe_token(config.cancel_path),
                 deadline_ts=config.deadline_ts,
             ))
-        if config.pattern_cache_shared and config.pattern_cache_size > 0:
-            pattern_cache = shared_cache_handle(config.pattern_cache_size)
-        else:
-            pattern_cache = maybe_cache(config.pattern_cache_size)
         collector = TelemetryCollector(cluster.n_ranks, cluster.ranks_per_node)
         if cluster.is_heterogeneous:
             collector.set_hardware(cluster.rank_capacity(), cluster.rank_nic())
@@ -119,7 +115,9 @@ class EpochEngine:
             tracker=BlockCostTracker(),
             rng=np.random.default_rng(config.seed),
             alive=list(range(cluster.n_nodes)),
-            pattern_cache=pattern_cache,
+            pattern_cache=(
+                shared_cache_handle() if config.pattern_cache_shared else None
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -233,9 +231,8 @@ class EpochEngine:
             ctx.lb_per_rank = lb_per_rank
 
             # --- simulate the epoch's steps -----------------------------
-            # The epoch-pipeline cache reuses the pattern structure and
-            # message stats whenever (graph, assignment, cluster, fabric)
-            # is unchanged; hits are bit-identical to recomputation.
+            # Service runs look the pattern up in the shared store; hits
+            # are bit-identical to the direct computation.
             if ctx.pattern_cache is not None:
                 ctx.pattern, ms = ctx.pattern_cache.lookup(
                     epoch.graph, assignment, epoch.base_costs, ctx.cluster,
@@ -287,6 +284,9 @@ class EpochEngine:
         ctx = self.ctx
         phases = ctx.collector.phase_totals()
         msg_mean = ctx.msg_acc / max(ctx.total_steps, 1)
+        cache = (
+            ctx.pattern_cache.stats if ctx.pattern_cache else PatternCacheStats()
+        )
         return RunSummary(
             policy=ctx.policy.name,
             n_ranks=ctx.cluster.n_ranks,
@@ -315,13 +315,7 @@ class EpochEngine:
             n_rollbacks=ctx.n_rollbacks,
             n_degraded_epochs=ctx.n_degraded_epochs,
             transport_stall_s=ctx.transport_stall_s,
-            pattern_cache_hits=(
-                ctx.pattern_cache.stats.hits if ctx.pattern_cache else 0
-            ),
-            pattern_cache_misses=(
-                ctx.pattern_cache.stats.misses if ctx.pattern_cache else 0
-            ),
-            pattern_cache_evictions=(
-                ctx.pattern_cache.stats.evictions if ctx.pattern_cache else 0
-            ),
+            pattern_cache_hits=cache.hits,
+            pattern_cache_misses=cache.misses,
+            pattern_cache_evictions=cache.evictions,
         )

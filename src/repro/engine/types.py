@@ -45,10 +45,6 @@ class DriverConfig:
     #: feed measured costs to the policy; False reproduces the framework
     #: default of cost=1 for every block (the baseline's world view)
     use_measured_costs: bool = True
-    #: entries in the per-run ExchangePattern/message-stats cache (the
-    #: epoch-pipeline cache); 0 disables caching.  Hits are bit-identical
-    #: to recomputation, so this only changes host time, never results.
-    pattern_cache_size: int = 8
     #: deterministic modeled placement time charged to the lb phase in
     #: place of the measured host wall-clock (same contract as
     #: ResilienceConfig.placement_charge_s).  None = charge the measured
@@ -56,12 +52,12 @@ class DriverConfig:
     #: runs — serial or parallel — bit-identical in wall_s.
     placement_charge_s: "float | None" = None
     seed: int = 0
-    #: use the process-wide shared :class:`~repro.perf.cache.
-    #: SharedPatternCache` instead of a private per-run cache — the
-    #: multi-tenant service mode, where concurrent jobs pool one
-    #: content-keyed store.  Hits are bit-identical either way, so this
-    #: is excluded from repr/compare: it must never change a sweep key,
-    #: a journal key, or a digest.
+    #: look exchange patterns up in the process-wide
+    #: :class:`~repro.perf.cache.SharedPatternCache` instead of computing
+    #: them directly — the multi-tenant service mode, where concurrent
+    #: jobs pool one content-keyed store.  Hits are bit-identical, so
+    #: this is excluded from repr/compare: it must never change a sweep
+    #: key, a journal key, or a digest.
     pattern_cache_shared: bool = dataclasses.field(
         default=False, repr=False, compare=False
     )
@@ -120,7 +116,7 @@ class RunSummary:
     n_rollbacks: int = 0            #: redistributions aborted mid-migration
     n_degraded_epochs: int = 0      #: epochs run on a stale placement
     transport_stall_s: float = 0.0  #: simulated seconds lost to retransmits
-    #: epoch-pipeline cache counters (zero when the cache is disabled)
+    #: shared pattern-store counters of this run (zero outside the service)
     pattern_cache_hits: int = 0
     pattern_cache_misses: int = 0
     pattern_cache_evictions: int = 0

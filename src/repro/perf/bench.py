@@ -11,8 +11,7 @@ Times the hot paths the repo's performance claims rest on —
   rank counts (128K+), timing per-shard cost/SFC materialization and
   the streamed makespan reduction;
 * **epoch loop**: the end-to-end :class:`~repro.engine.EpochEngine`
-  over a reduced Sedov trajectory, with the epoch-pipeline cache off
-  and on (the cached-vs-uncached headline);
+  over a reduced Sedov trajectory (a regression tripwire);
 * **sweep executor**: a small Sedov sweep serial vs ``--jobs 4`` (the
   serial-vs-parallel headline; equal on a single-core host);
 * **executor overhead**: the supervised pool vs the bare
@@ -348,35 +347,12 @@ def _bench_epoch_loop(
 
     epochs = small_workload(params["epoch_ranks"], steps=params["epoch_steps"])
     cluster = Cluster(n_ranks=params["epoch_ranks"])
-    # The baseline arm re-places identical unit costs every epoch, so its
-    # (graph, assignment) key repeats on every non-refining epoch — the
-    # workload pattern the epoch-pipeline cache is built for.
-    base = dict(use_measured_costs=False, placement_charge_s=0.005)
-    uncached_cfg = DriverConfig(pattern_cache_size=0, **base)
-    cached_cfg = DriverConfig(pattern_cache_size=8, **base)
-
-    def run(config):
-        return run_trajectory(get_policy("baseline"), epochs, cluster, config)
-
-    metrics["epoch.loop_uncached"] = _time_case(
-        lambda: run(uncached_cfg), params["epoch_repeats"]
+    config = DriverConfig(use_measured_costs=False, placement_charge_s=0.005)
+    metrics["epoch.loop"] = _time_case(
+        lambda: run_trajectory(get_policy("baseline"), epochs, cluster, config),
+        params["epoch_repeats"],
     )
-    metrics["epoch.loop_cached"] = _time_case(
-        lambda: run(cached_cfg), params["epoch_repeats"]
-    )
-    summary = run(cached_cfg)
-    hits, misses = summary.pattern_cache_hits, summary.pattern_cache_misses
-    derived["epoch.cache_hit_rate"] = hits / max(hits + misses, 1)
-    derived["epoch.cache_speedup"] = (
-        metrics["epoch.loop_uncached"]["median_s"]
-        / metrics["epoch.loop_cached"]["median_s"]
-    )
-    log(
-        f"epoch loop: uncached {metrics['epoch.loop_uncached']['median_s']:.3f} s, "
-        f"cached {metrics['epoch.loop_cached']['median_s']:.3f} s "
-        f"({derived['epoch.cache_speedup']:.2f}x, "
-        f"hit rate {derived['epoch.cache_hit_rate']:.0%})"
-    )
+    log(f"epoch loop: {metrics['epoch.loop']['median_s']:.3f} s")
 
 
 def _bench_sweep(

@@ -1,4 +1,4 @@
-"""Process-pool sweep executor with a deterministic ordered merge.
+"""Sweep-execution basics: the worker count and the cell error.
 
 The evaluation sweeps — ``run_sedov_sweep``, ``run_scalebench``, the
 three-arm resilience experiment — are grids of *independent* cells:
@@ -12,29 +12,27 @@ completion order.
 Determinism contract:
 
 * cells are submitted in grid order and results are merged back in
-  submission order (``parallel_map`` returns ``results[i] == fn(items[i])``);
+  submission order (``results[i] == fn(items[i])``);
 * cell functions must be importable top-level callables and items
   picklable (required by the process pool anyway);
 * a cell must derive all randomness from seeds in its item — never from
   global RNG state, worker identity, or wall clock.
 
-``jobs <= 1`` short-circuits to an in-process loop (no pool, no pickle
-round-trip), which is the default everywhere.  ``jobs > 1`` runs on the
-supervised worker pool (:mod:`repro.perf.supervisor`) in *strict* mode:
-same ordered merge, but a worker crash or cell exception surfaces as a
-:class:`CellExecutionError` naming the failing cell instead of an
-anonymous pool abort.  Sweeps that want retries, timeouts, quarantine,
-and the crash-safe journal call :func:`~repro.perf.supervisor.
-supervised_map` directly.
+Every sweep runs on :func:`~repro.perf.supervisor.supervised_map`.
+Without requested supervision it uses the
+:data:`~repro.perf.supervisor.STRICT` config: no retries, and a cell
+exception or worker death raises :class:`CellExecutionError` naming the
+failing cell.  ``jobs <= 1`` runs in-process (no pool, no pickle
+round-trip), which is the default everywhere.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-__all__ = ["CellExecutionError", "effective_jobs", "parallel_map"]
+__all__ = ["CellExecutionError", "effective_jobs"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -86,39 +84,6 @@ def effective_jobs(jobs: Optional[int], n_items: Optional[int] = None) -> int:
     if n_items is not None:
         n = min(n, max(n_items, 1))
     return max(n, 1)
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], jobs: int | None = 1
-) -> List[R]:
-    """Map ``fn`` over ``items``, sharded across ``jobs`` processes.
-
-    Results come back in item order (ordered merge), so the output is
-    indistinguishable from ``[fn(it) for it in items]`` — which is
-    exactly what runs when ``jobs <= 1`` or there is only one item.
-    A failing cell — exception *or* worker death — raises
-    :class:`CellExecutionError` identifying the cell (remaining cells
-    are cancelled by pool shutdown).
-    """
-    cells: Sequence[T] = list(items)
-    n_jobs = effective_jobs(jobs, len(cells))
-    if n_jobs <= 1 or len(cells) <= 1:
-        out: List[R] = []
-        for i, it in enumerate(cells):
-            try:
-                out.append(fn(it))
-            except Exception as exc:
-                raise CellExecutionError(
-                    i, it, f"{type(exc).__name__}: {exc}"
-                ) from exc
-        return out
-    from .supervisor import SupervisorConfig, supervised_map
-
-    report = supervised_map(
-        fn, cells, jobs=n_jobs,
-        config=SupervisorConfig(retries=0, timeout_s=None, strict=True),
-    )
-    return list(report.results)
 
 
 def _bare_pool_map(

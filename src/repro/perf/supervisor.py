@@ -1,12 +1,11 @@
 """Supervised worker-pool sweep execution: crash recovery, timeouts,
 retries, quarantine, and resumable journaling.
 
-The bare process pool behind :func:`repro.perf.executor.parallel_map`
-dies with its weakest worker: one OOM-killed process, one hung cell, or
-one flaky exception aborts an entire multi-hour sweep with nothing
-salvaged.  This module replaces it with a *supervised* pool that treats
-sweep cells the way the resilience layer (PR 1) treats cluster nodes —
-detect, mitigate, continue:
+A bare process pool dies with its weakest worker: one OOM-killed
+process, one hung cell, or one flaky exception aborts an entire
+multi-hour sweep with nothing salvaged.  This module replaces it with
+a *supervised* pool that treats sweep cells the way the resilience
+layer (PR 1) treats cluster nodes — detect, mitigate, continue:
 
 * **worker death** (SIGKILL / OOM — the ``BrokenProcessPool`` class of
   failure): the supervisor respawns the worker and retries the cell
@@ -57,6 +56,7 @@ from .journal import SweepJournal, sweep_key
 
 __all__ = [
     "CHAOS_ENV",
+    "STRICT",
     "CellFailure",
     "EVENT_CODES",
     "ExecutorEvent",
@@ -102,7 +102,7 @@ class SupervisorConfig:
     #: replay completed cells from the journal instead of re-running them
     resume: bool = False
     #: raise :class:`CellExecutionError` on the first exhausted cell
-    #: instead of quarantining it (the ``parallel_map`` compatibility mode)
+    #: instead of quarantining it (see :data:`STRICT`)
     strict: bool = False
     #: supervisor wake-up period for liveness/deadline checks
     poll_interval_s: float = 0.05
@@ -135,6 +135,11 @@ class SupervisorConfig:
             raise ValueError(
                 f"cancel_grace_s must be > 0, got {self.cancel_grace_s}"
             )
+
+
+#: The config of a sweep run without requested supervision: one attempt
+#: per cell, and the first failing cell raises :class:`CellExecutionError`.
+STRICT = SupervisorConfig(retries=0, strict=True)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,8 +27,7 @@ from ..amr.driver import DriverConfig, RunSummary
 from ..core.policy import get_policy
 from ..amr.sedov import SedovConfig, SedovEpoch, SedovWorkload
 from ..engine.hooks import PhaseProfilerHook
-from ..perf.executor import parallel_map
-from ..perf.supervisor import SupervisorConfig, supervised_map
+from ..perf.supervisor import STRICT, SupervisorConfig, supervised_map
 from ..simnet.cluster import Cluster
 from ..simnet.faults import (
     NO_TRANSPORT_FAULTS,
@@ -274,23 +273,18 @@ def run_resilience_experiment(
     if config.check_determinism:
         arms.append("recheck")
     items = [(config, a) for a in arms]
-    if supervise is not None:
-        report = supervised_map(
-            _run_experiment_arm, items, jobs, config=supervise, on_event=on_event
+    report = supervised_map(
+        _run_experiment_arm, items, jobs, config=supervise or STRICT,
+        on_event=on_event,
+    )
+    if report.failures:
+        detail = "; ".join(
+            f"{arms[f.index]}: {f.kind} after {f.attempts} attempt(s)"
+            f" ({f.error})"
+            for f in report.failures
         )
-        quarantined = report.failures
-        if quarantined:
-            detail = "; ".join(
-                f"{arms[f.index]}: {f.kind} after {f.attempts} attempt(s)"
-                f" ({f.error})"
-                for f in quarantined
-            )
-            raise RuntimeError(
-                f"resilience experiment arm(s) quarantined: {detail}"
-            )
-        results = report.results
-    else:
-        results = parallel_map(_run_experiment_arm, items, jobs)
+        raise RuntimeError(f"resilience experiment arm(s) quarantined: {detail}")
+    results = report.results
     summaries = {arm: summary for arm, (summary, _) in zip(arms, results)}
     profiles: Optional[Dict[str, PhaseProfilerHook]] = (
         {

@@ -68,6 +68,22 @@ class TestCommands:
         assert captured.out == ""
         assert "error: policy 'cplx:abc'" in captured.err
 
+    @pytest.mark.parametrize("name", ["cplx:abc", "nope"])
+    def test_place_bad_policy_prints_error(self, capsys, name):
+        assert main(["place", "--policy", name, "--blocks", "64",
+                     "--ranks", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert repr(name) in captured.err
+
+    def test_sedov_unknown_policy_prints_unquoted(self, capsys):
+        assert main(["sedov", "--scales", "512", "--steps", "40",
+                     "--policies", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown policy 'nope'; known: [")
+        assert err.endswith("]\n")
+
     def test_sedov_profile_prints_phase_breakdown(self, capsys):
         assert main(["sedov", "--scales", "512", "--steps", "100",
                      "--policies", "baseline", "--profile"]) == 0

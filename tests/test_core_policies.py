@@ -9,6 +9,7 @@ from repro.core import (
     BaselinePolicy,
     CPLX,
     PolicyNameError,
+    UnknownPolicyError,
     assignment_from_counts,
     available_policies,
     contiguous_counts,
@@ -36,6 +37,13 @@ class TestRegistry:
     def test_unknown_policy(self):
         with pytest.raises(KeyError, match="unknown policy"):
             get_policy("does-not-exist")
+
+    def test_unknown_policy_is_typed_and_unquoted(self):
+        with pytest.raises(UnknownPolicyError) as exc:
+            get_policy("does-not-exist")
+        assert isinstance(exc.value, KeyError)
+        assert exc.value.policy == "does-not-exist"
+        assert str(exc.value).startswith("unknown policy 'does-not-exist'")
 
     @pytest.mark.parametrize(
         "name", ["cplx:abc", "cplx:", "hetero-cplx:150", "cplx:-1", "cplx:nan"]

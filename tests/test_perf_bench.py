@@ -44,13 +44,11 @@ class TestRunBench:
         metrics = smoke_result["metrics"]
         assert any(n.startswith("policy.") for n in metrics)
         assert any(n.startswith("mesh.") for n in metrics)
-        assert {"epoch.loop_uncached", "epoch.loop_cached"} <= set(metrics)
+        assert "epoch.loop" in metrics
         for m in metrics.values():
             assert m["median_s"] > 0 and m["repeats"] >= 1
             assert m["min_s"] <= m["median_s"]
-        derived = smoke_result["derived"]
-        assert 0.0 <= derived["epoch.cache_hit_rate"] <= 1.0
-        assert derived["epoch.cache_speedup"] > 0
+        assert not any(n.startswith("epoch.") for n in smoke_result["derived"])
 
     def test_telemetry_query_metrics(self, smoke_result):
         metrics = smoke_result["metrics"]

@@ -1,8 +1,10 @@
-"""The process-pool sweep executor is bit-identical to the serial path.
+"""The sweep executor is bit-identical to the serial path.
 
-Every sweep cell re-derives its stochastic streams from its config
-alone, so sharding cells across workers must reproduce the serial
-results bit for bit.  Host-measured wall-clock (``policy.place``
+Every sweep runs on ``supervised_map``; without requested supervision
+it uses the ``STRICT`` config (no retries, the first failing cell
+raises).  Every sweep cell re-derives its stochastic streams from its
+config alone, so sharding cells across workers must reproduce the
+serial results bit for bit.  Host-measured wall-clock (``policy.place``
 timing) is the one nondeterministic input; the sedov comparisons pin
 it with ``DriverConfig.placement_charge_s`` and skip the fields that
 record the raw measurement (``placement_s_max``, collector tables).
@@ -15,12 +17,8 @@ import pytest
 from repro.bench.scalebench import ScalebenchConfig, run_scalebench
 from repro.bench.sedov_experiment import SedovSweepConfig, run_sedov_sweep
 from repro.engine.types import DriverConfig, RunSummary
-from repro.perf.executor import (
-    JOBS_ENV,
-    CellExecutionError,
-    effective_jobs,
-    parallel_map,
-)
+from repro.perf.executor import JOBS_ENV, CellExecutionError, effective_jobs
+from repro.perf.supervisor import STRICT, supervised_map
 from repro.resilience.experiment import (
     ResilienceExperimentConfig,
     run_resilience_experiment,
@@ -49,17 +47,25 @@ def _fail_on_three(x):
     return x * x
 
 
+def strict_map(fn, items, jobs):
+    """The results of ``supervised_map`` under the strict config."""
+    return supervised_map(fn, items, jobs, config=STRICT).results
+
+
 class TestParallelMap:
+    """The sweeps' ordered parallel map: ``supervised_map`` under
+    :data:`STRICT`."""
+
     def test_serial_and_parallel_agree_in_order(self):
         items = list(range(7))
-        assert parallel_map(_double, items, jobs=1) == [2 * x for x in items]
-        assert parallel_map(_double, items, jobs=3) == [2 * x for x in items]
+        assert strict_map(_double, items, jobs=1) == [2 * x for x in items]
+        assert strict_map(_double, items, jobs=3) == [2 * x for x in items]
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(_double, [21], jobs=8) == [42]
+        assert strict_map(_double, [21], jobs=8) == [42]
 
     def test_empty(self):
-        assert parallel_map(_double, [], jobs=4) == []
+        assert strict_map(_double, [], jobs=4) == []
 
     def test_effective_jobs(self):
         assert effective_jobs(1) == 1
@@ -88,17 +94,17 @@ class TestParallelMap:
 class TestCellExecutionError:
     def test_serial_wraps_with_cell_context(self):
         with pytest.raises(CellExecutionError) as exc_info:
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=1)
+            strict_map(_fail_on_three, [1, 2, 3, 4], jobs=1)
         err = exc_info.value
         assert err.index == 2
         assert "cell 2" in str(err)
         assert "3" in err.item_repr
         assert "three is right out" in str(err)
-        assert isinstance(err.__cause__, ValueError)
+        assert isinstance(err.__context__, ValueError)
 
     def test_pool_wraps_with_cell_context(self):
         with pytest.raises(CellExecutionError) as exc_info:
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2)
+            strict_map(_fail_on_three, [1, 2, 3, 4], jobs=2)
         err = exc_info.value
         assert err.index == 2
         assert "cell 2" in str(err)

@@ -304,6 +304,15 @@ class TestServiceEndToEnd:
             cache = agg["cache"]
             assert cache["pattern_hits"] + cache["pattern_misses"] > 0
 
+    def test_second_identical_job_hits_the_shared_store(self, live_service):
+        svc = live_service()
+        with svc.client() as c:
+            for _ in range(2):
+                job = c.submit("sedov", TINY, tenant="carol")
+                c.result(job, timeout_s=300)
+            assert c.status(job)["pattern_cache"]["hits"] > 0
+            assert c.tenant_status("carol")["cache"]["pattern_hits"] > 0
+
     def test_events_stream_reaches_completion(self, live_service):
         svc = live_service()
         with svc.client() as c:
