@@ -248,7 +248,7 @@ def run_scalebench(config: ScalebenchConfig, jobs: int = 1) -> List[ScalebenchRo
     first failing cell raises
     :class:`~repro.perf.executor.CellExecutionError`.
     """
-    return run_scalebench_supervised(config, jobs, supervise=STRICT).rows
+    return run_scalebench_supervised(config, jobs).rows
 
 
 @dataclasses.dataclass
@@ -287,7 +287,10 @@ def run_scalebench_supervised(
     supervisor config instead of aborting the sweep; with a journal
     configured the run is resumable after Ctrl-C / ``kill -9``, and the
     surviving rows (and their :func:`scalebench_digest`) are
-    bit-identical to an uninterrupted serial run.
+    bit-identical to an uninterrupted serial run.  Without
+    ``supervise`` the sweep runs under
+    :data:`~repro.perf.supervisor.STRICT`, like the other experiments:
+    the first failing cell raises.
     """
     cells = [
         _ScalebenchCell(config=config, n_ranks=n_ranks, distribution=dist, x=x)
@@ -296,7 +299,8 @@ def run_scalebench_supervised(
         for x in config.x_values
     ]
     report = supervised_map(
-        _run_scalebench_cell, cells, jobs, config=supervise, on_event=on_event
+        _run_scalebench_cell, cells, jobs, config=supervise or STRICT,
+        on_event=on_event,
     )
     return ScalebenchResult(
         rows=[r for r in report.results if not isinstance(r, CellFailure)],

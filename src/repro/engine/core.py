@@ -45,12 +45,14 @@ from ..amr.redistribution import (
 from ..core.metrics import message_stats
 from ..core.policy import PlacementPolicy
 from ..perf.cache import PatternCacheStats, shared_cache_handle
+from ..perf.cancel import maybe_token
+from ..perf.supervisor import SWEEP_CONFIG
 from ..simnet.cluster import Cluster
 from ..simnet.faults import FaultModel
 from ..simnet.runtime import BSPModel, ExchangePattern
 from ..telemetry.collector import TelemetryCollector
 from .context import EngineContext
-from .hooks import EpochHook
+from .hooks import CancellationHook, EpochHook
 from .types import DriverConfig, RunSummary
 
 __all__ = ["EpochEngine"]
@@ -91,15 +93,16 @@ class EpochEngine:
             exchange_rounds=config.exchange_rounds,
         )
         self.hooks = list(hooks)
-        if config.cancel_path or config.deadline_ts is not None:
-            from ..perf.cancel import maybe_token
-            from .hooks import CancellationHook
-
+        # A job's controls come from the sweep running this cell (None
+        # outside a supervised sweep): every experiment gets the same.
+        job = SWEEP_CONFIG.get()
+        if job is not None and (
+            job.cancel_path or job.deadline_ts is not None
+        ):
             # Appended last so an epoch's own hooks (telemetry spool,
             # checkpoint) complete before a cancel abandons the run.
             self.hooks.append(CancellationHook(
-                maybe_token(config.cancel_path),
-                deadline_ts=config.deadline_ts,
+                maybe_token(job.cancel_path), deadline_ts=job.deadline_ts,
             ))
         collector = TelemetryCollector(cluster.n_ranks, cluster.ranks_per_node)
         if cluster.is_heterogeneous:
@@ -116,7 +119,8 @@ class EpochEngine:
             rng=np.random.default_rng(config.seed),
             alive=list(range(cluster.n_nodes)),
             pattern_cache=(
-                shared_cache_handle() if config.pattern_cache_shared else None
+                shared_cache_handle()
+                if job is not None and job.shared_pattern_store else None
             ),
         )
 

@@ -289,9 +289,10 @@ class CancellationHook(EpochHook):
     raising :class:`~repro.perf.cancel.JobCancelled` when it is set —
     i.e. the run stops within one epoch of the request, at a state
     boundary where all accumulators are consistent.  The engine attaches
-    this hook automatically when ``DriverConfig.cancel_path`` or
-    ``DriverConfig.deadline_ts`` is set, so a cancel reaches runs inside
-    pool worker processes with no extra plumbing.  ``deadline_ts`` is an
+    this hook automatically when the config of the sweep running it
+    (:data:`~repro.perf.supervisor.SWEEP_CONFIG`) sets ``cancel_path``
+    or ``deadline_ts``, so a cancel reaches runs inside pool worker
+    processes, and every experiment kind, alike.  ``deadline_ts`` is an
     absolute wall-clock bound checked on the same cadence, raising
     :class:`~repro.perf.cancel.DeadlineExceeded` (a ``JobCancelled``
     subclass: same resumable-journal semantics, distinguishable by

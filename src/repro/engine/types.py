@@ -52,32 +52,6 @@ class DriverConfig:
     #: runs — serial or parallel — bit-identical in wall_s.
     placement_charge_s: "float | None" = None
     seed: int = 0
-    #: look exchange patterns up in the process-wide
-    #: :class:`~repro.perf.cache.SharedPatternCache` instead of computing
-    #: them directly — the multi-tenant service mode, where concurrent
-    #: jobs pool one content-keyed store.  Hits are bit-identical, so
-    #: this is excluded from repr/compare: it must never change a sweep
-    #: key, a journal key, or a digest.
-    pattern_cache_shared: bool = dataclasses.field(
-        default=False, repr=False, compare=False
-    )
-    #: cancel-flag file consumed by a :class:`~repro.engine.hooks.
-    #: CancellationHook` the engine attaches automatically (cooperative
-    #: cancellation at epoch boundaries).  Excluded from repr/compare
-    #: for the same reason: a resumed run must hash to the same sweep
-    #: key whether or not a cancel flag is configured.
-    cancel_path: "str | None" = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    #: absolute wall-clock deadline (``time.time()`` epoch seconds)
-    #: enforced by the same CancellationHook at epoch boundaries —
-    #: :class:`~repro.perf.cancel.DeadlineExceeded` past it.  Excluded
-    #: from repr/compare like ``cancel_path``: a deadline bounds *when*
-    #: a run may stop, never what it computes, so keys and digests must
-    #: not see it.
-    deadline_ts: "float | None" = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
 
 @dataclasses.dataclass

@@ -8,10 +8,10 @@ collapse, latency classification) and :func:`message_stats` recompute
 bit-identical values.  :class:`SharedPatternCache` memoizes both for
 the whole process; the engine looks it up through a per-run
 :class:`PatternCacheHandle` only in service mode
-(``DriverConfig.pattern_cache_shared``, set by the service's
-``JobRunner``).  Every other run computes the pattern directly: on a
-single CLI run the store's entries cost more memory than its few hits
-save time.
+(``SupervisorConfig.shared_pattern_store``, set on every ``repro
+serve`` job and handed by the supervisor to each cell).  Every other
+run computes the pattern directly: on a single CLI run the store's
+entries cost more memory than its few hits save time.
 
 Correctness contract (pinned by the cache tests):
 

@@ -10,11 +10,16 @@ A cancel request must reach three layers that do not share memory:
 
 The lowest common denominator across processes is the filesystem, so a
 :class:`CancelToken` is a flag *file*: ``set()`` creates it, every
-layer polls ``is_set()``.  The engine consumes the token through
+layer polls ``is_set()``.  The flag's path travels in one place, the
+sweep's :class:`~repro.perf.supervisor.SupervisorConfig`
+(``cancel_path``, next to ``deadline_ts``); the supervisor hands that
+config to every cell it runs (:data:`~repro.perf.supervisor.
+SWEEP_CONFIG`).  The engine consumes the token through
 :class:`~repro.engine.hooks.CancellationHook` (attached automatically
-when ``DriverConfig.cancel_path`` is set), which raises
-:class:`JobCancelled` at the epoch boundary — i.e. through the same
-dispatch path as the control channel, after the epoch's hooks have run.
+when the running cell's config sets a cancel flag or deadline), which
+raises :class:`JobCancelled` at the epoch boundary — i.e. through the
+same dispatch path as the control channel, after the epoch's hooks have
+run.
 
 This module sits below the engine in the import graph (like
 :mod:`repro.perf.cache`) so both the engine and the supervisor can use

@@ -42,6 +42,7 @@ faults would.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import heapq
 import os
@@ -57,6 +58,7 @@ from .journal import SweepJournal, sweep_key
 __all__ = [
     "CHAOS_ENV",
     "STRICT",
+    "SWEEP_CONFIG",
     "CellFailure",
     "EVENT_CODES",
     "ExecutorEvent",
@@ -123,6 +125,10 @@ class SupervisorConfig:
     #: happen (one partition per flush) instead of once per run segment —
     #: the service mode, where a job's spool is live-queried mid-run
     live_events: bool = False
+    #: engine runs inside this sweep's cells look exchange patterns up in
+    #: the process-wide :class:`~repro.perf.cache.SharedPatternCache`
+    #: (the service mode, where concurrent jobs pool one store)
+    shared_pattern_store: bool = False
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -140,6 +146,15 @@ class SupervisorConfig:
 #: The config of a sweep run without requested supervision: one attempt
 #: per cell, and the first failing cell raises :class:`CellExecutionError`.
 STRICT = SupervisorConfig(retries=0, strict=True)
+
+#: The config of the sweep whose cell is running in this context (None
+#: outside any cell).  This is how a job's controls reach the engine:
+#: :class:`~repro.engine.EpochEngine` reads ``cancel_path``,
+#: ``deadline_ts`` and ``shared_pattern_store`` from it, whatever the
+#: experiment, serial or in a pool worker.
+SWEEP_CONFIG: contextvars.ContextVar[Optional[SupervisorConfig]] = (
+    contextvars.ContextVar("repro_sweep_config", default=None)
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,7 +315,7 @@ def _maybe_inject_chaos(cell: int, attempt: int) -> None:
 _OK, _ERR = 0, 1
 
 
-def _worker_main(fn, task_q, conn) -> None:
+def _worker_main(fn, task_q, conn, config: SupervisorConfig) -> None:
     """Worker loop: one task at a time, result or error back on the pipe.
 
     Results travel over a pipe *private to this worker* rather than a
@@ -320,6 +335,7 @@ def _worker_main(fn, task_q, conn) -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    SWEEP_CONFIG.set(config)
     parent = os.getppid()
     while True:
         try:
@@ -352,11 +368,11 @@ class _Worker:
     private result pipe (see :func:`_worker_main` for why the result
     channel must not be shared)."""
 
-    def __init__(self, ctx, fn) -> None:
+    def __init__(self, ctx, fn, config: SupervisorConfig) -> None:
         self.task_q = ctx.Queue()
         self.conn, send_conn = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
-            target=_worker_main, args=(fn, self.task_q, send_conn),
+            target=_worker_main, args=(fn, self.task_q, send_conn, config),
             daemon=True,
         )
         self.proc.start()
@@ -578,6 +594,9 @@ def _run_serial(fn, sup: _Supervision) -> None:
                 sup.cancel(index, "deadline passed before cell start",
                            deadline=True)
             sup.attempts[index] = sup.attempts.get(index, 0) + 1
+            # Job threads of the server are reused: the config is reset
+            # after every cell so it never leaks into the next job.
+            scope = SWEEP_CONFIG.set(sup.config)
             try:
                 _maybe_inject_chaos(index, sup.attempts[index])
                 result = fn(item)
@@ -594,6 +613,8 @@ def _run_serial(fn, sup: _Supervision) -> None:
                     break
                 time.sleep(delay)
                 continue
+            finally:
+                SWEEP_CONFIG.reset(scope)
             sup.complete(index, result)
             break
 
@@ -620,7 +641,7 @@ def _run_pool(fn, sup: _Supervision, n_jobs: int) -> None:
     def respawn(worker: _Worker) -> _Worker:
         worker.kill()
         workers.remove(worker)
-        fresh = _Worker(ctx, fn)
+        fresh = _Worker(ctx, fn, cfg)
         workers.append(fresh)
         return fresh
 
@@ -632,7 +653,7 @@ def _run_pool(fn, sup: _Supervision, n_jobs: int) -> None:
             heapq.heappush(pending, (time.monotonic() + delay, index))
 
     try:
-        workers.extend(_Worker(ctx, fn) for _ in range(n_workers))
+        workers.extend(_Worker(ctx, fn, cfg) for _ in range(n_workers))
         while len(sup.results) < len(sup.cells):
             now = time.monotonic()
             # Cooperative cancel: stop dispatching, drop the backlog, and
@@ -783,7 +804,6 @@ def supervised_map(
     items: Iterable[T],
     jobs: Optional[int] = 1,
     config: Optional[SupervisorConfig] = None,
-    journal_key: Optional[str] = None,
     on_event: Optional[Callable[[ExecutorEvent], None]] = None,
 ) -> SupervisedReport:
     """Map ``fn`` over ``items`` under supervision; ordered merge.
@@ -792,9 +812,11 @@ def supervised_map(
     ``fn(items[i])`` for every cell that succeeded (bit-identical to the
     serial run) and a :class:`CellFailure` for every quarantined cell.
     With ``config.journal_dir`` set, completed cells are durably
-    journaled as they finish and ``config.resume=True`` replays them;
-    ``journal_key`` overrides the content-derived sweep key (tests and
-    cross-process drivers).
+    journaled as they finish and ``config.resume=True`` replays them.
+    While a cell runs, :data:`SWEEP_CONFIG` holds ``config`` (in the
+    serial loop and in every pool worker alike), so the engine runs
+    inside the cell see the sweep's cancel flag, deadline and pattern
+    store setting.
 
     The worker pool is used when ``jobs > 1`` *or* a timeout is
     configured (timeout enforcement needs a killable worker even for a
@@ -815,9 +837,8 @@ def supervised_map(
 
     journal: Optional[SweepJournal] = None
     if cfg.journal_dir is not None:
-        key = journal_key or sweep_key(fn, cells)
         journal = SweepJournal(
-            cfg.journal_dir, key, len(cells),
+            cfg.journal_dir, sweep_key(fn, cells), len(cells),
             fn_name=f"{getattr(fn, '__module__', '?')}."
                     f"{getattr(fn, '__qualname__', '?')}",
             resume=cfg.resume,

@@ -95,13 +95,6 @@ class ResilienceExperimentConfig:
     check_determinism: bool = True
     #: attach a PhaseProfilerHook per arm (``result.profiles``)
     profile: bool = False
-    #: cooperative-cancel flag file threaded into each arm's
-    #: DriverConfig (the engine attaches a CancellationHook).  Excluded
-    #: from repr/compare: the item reprs feed the sweep/journal key, and
-    #: a cancelled run must resume under the same key with no flag set.
-    cancel_path: Optional[str] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         get_policy(self.policy)  # fail fast, naming a bad policy
@@ -217,11 +210,8 @@ def _run_experiment_arm(args) -> tuple:
     config, arm = args
     epochs = _experiment_workload(config.n_ranks, config.steps, config.workload_seed)
     cluster = Cluster(n_ranks=config.n_ranks)
-    driver_cfg = DriverConfig(seed=config.seed, cancel_path=config.cancel_path)
-    faulty_cfg = DriverConfig(
-        seed=config.seed, transport=config.transport,
-        cancel_path=config.cancel_path,
-    )
+    driver_cfg = DriverConfig(seed=config.seed)
+    faulty_cfg = DriverConfig(seed=config.seed, transport=config.transport)
     resilience = ResilienceConfig(
         checkpoint_interval_epochs=config.checkpoint_interval_epochs
     )

@@ -6,8 +6,9 @@ The runner is the single execution path behind both front ends:
 * the CLI hands it a spec built from argparse flags and prints
   ``result.text`` (byte-identical to the pre-service subcommands);
 * the server hands it a spec built from a JSON ``submit`` request,
-  instrumented with a cancel flag, a per-job journal, live event
-  spooling, and the shared pattern cache.
+  whose supervisor config carries the job's cancel flag, deadline,
+  per-job journal, live event spooling and the shared pattern store
+  (the supervisor hands those controls to every cell it runs).
 
 A cancelled job is not an error here: :class:`~repro.perf.cancel.
 JobCancelled` is converted into a ``cancelled=True`` result carrying
@@ -106,63 +107,12 @@ def _pattern_counters(outcome: JobOutcome) -> Dict[str, int]:
 
 
 class JobRunner:
-    """Runs specs; optionally instruments them with service plumbing.
+    """Runs specs, turning each outcome into a :class:`JobResult`.
 
-    Parameters
-    ----------
-    cancel_path:
-        Flag file for cooperative cancellation.  Threaded into the
-        supervisor config *and* each engine run's DriverConfig, so a
-        cancel reaches between-cell scheduling and in-cell epoch
-        boundaries alike.  ``None`` (the CLI path) leaves the spec
-        untouched — keys, digests, and output stay bit-identical to the
-        pre-service subcommands.
-    shared_pattern_cache:
-        Route engine pattern lookups through the process-wide
-        content-keyed store (multi-tenant mode).
-    deadline_ts:
-        Absolute wall-clock deadline (``time.time()`` epoch seconds).
-        Threaded next to the cancel flag — the supervisor checks it
-        between cells, the engine's CancellationHook at epoch
-        boundaries — so an overrunning job stops cooperatively and
-        leaves a resumable journal, exactly like a cancel, but reported
-        as :class:`~repro.perf.cancel.DeadlineExceeded`.
+    A job's controls (cancel flag, deadline, shared pattern store) are
+    part of ``spec.supervise``: the supervisor hands them to every cell
+    it runs, so the runner itself holds no state.
     """
-
-    def __init__(
-        self,
-        cancel_path: Optional[str] = None,
-        shared_pattern_cache: bool = False,
-        deadline_ts: Optional[float] = None,
-    ) -> None:
-        self.cancel_path = cancel_path
-        self.shared_pattern_cache = shared_pattern_cache
-        self.deadline_ts = deadline_ts
-
-    # ------------------------------------------------------------------ #
-
-    def _instrument(self, spec: JobSpec) -> JobSpec:
-        if (
-            self.cancel_path is None
-            and not self.shared_pattern_cache
-            and self.deadline_ts is None
-        ):
-            return spec
-        kind = REGISTRY[spec.kind]
-        config = kind.instrument(
-            spec.config, self.cancel_path, self.shared_pattern_cache,
-            self.deadline_ts,
-        )
-        supervise = spec.supervise
-        if supervise is not None:
-            updates = {}
-            if self.cancel_path is not None:
-                updates["cancel_path"] = self.cancel_path
-            if self.deadline_ts is not None:
-                updates["deadline_ts"] = self.deadline_ts
-            if updates:
-                supervise = dataclasses.replace(supervise, **updates)
-        return dataclasses.replace(spec, config=config, supervise=supervise)
 
     def run(
         self,
@@ -179,12 +129,11 @@ class JobRunner:
             raise ValueError(f"unknown experiment kind {spec.kind!r}")
         kind = REGISTRY[spec.kind]
         traj = _probe_traj_cache(spec)
-        run_spec = self._instrument(spec)
         try:
-            outcome = kind.execute(run_spec, on_event)
+            outcome = kind.execute(spec, on_event)
         except JobCancelled as exc:
             return self._cancelled_result(spec, exc, traj)
-        lines = kind.render(run_spec, outcome)
+        lines = kind.render(spec, outcome)
         report = outcome.executor
         return JobResult(
             kind=spec.kind,

@@ -60,7 +60,7 @@ from ..perf.supervisor import SupervisorConfig
 from .queue import AdmissionQueue, QueuedJob, QuotaConfig, QuotaExceeded
 from .recovery import recover_jobs
 from .runner import JobResult, JobRunner
-from .spec import REGISTRY, JobSpec, spec_from_params
+from .spec import JobSpec, spec_from_params
 from .store import JobRecord, JobStore, spec_hash
 
 __all__ = ["JobService", "ServiceConfig", "serve", "MAX_FRAME_BYTES"]
@@ -116,7 +116,6 @@ class _Job:
     spec: JobSpec
     params: Dict
     journal_dir: str
-    cancel_file: str
     n_cells: int
     spec_hash: str
     state: str = "queued"   #: queued|running|done|failed|cancelled|shed
@@ -131,6 +130,10 @@ class _Job:
     result: Optional[JobResult] = None
     error: Optional[str] = None
     done: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
+
+    @property
+    def cancel_file(self) -> str:
+        return self.spec.supervise.cancel_path
 
     @property
     def completed_cells(self) -> int:
@@ -290,32 +293,42 @@ class JobService:
         path a fresh submit takes — with ``resume=True`` supervision so
         an existing sweep journal replays instead of re-running.
         """
-        supervise = SupervisorConfig(
-            journal_dir=rec.journal_dir,
-            resume=True,
-            live_events=True,
-            cancel_grace_s=self.config.cancel_grace_s,
-        )
         spec = spec_from_params(
             rec.kind, rec.params, tenant=rec.tenant, priority=rec.priority,
-            jobs=rec.jobs, supervise=supervise,
+            jobs=rec.jobs,
         )
-        return _Job(
-            job_id=rec.job_id,
+        return self._new_job(
+            spec, rec.job_id, rec.journal_dir, resume=True,
             seq=rec.seq,
-            spec=spec,
             params=dict(rec.params),
-            journal_dir=rec.journal_dir,
-            cancel_file=str(
-                Path(self.config.journal_root) / f"{rec.job_id}.cancel"
-            ),
-            n_cells=_n_cells(spec),
             spec_hash=rec.spec_hash,
             state="queued",
             idempotency_key=rec.idempotency_key,
             deadline_s=rec.deadline_s,
             resume_of=rec.resume_of,
             crashes=rec.crashes,
+        )
+
+    def _new_job(self, spec: JobSpec, job_id: str, journal_dir: str,
+                 resume: bool, **fields) -> _Job:
+        """A live job for ``spec``, fresh or recovered alike: it runs
+        under its own journal, live event spooling, its cancel flag and
+        the shared pattern store, which the supervisor hands to every
+        cell.  ``fields`` are the remaining :class:`_Job` fields."""
+        supervise = SupervisorConfig(
+            journal_dir=journal_dir,
+            resume=resume,
+            live_events=True,
+            cancel_grace_s=self.config.cancel_grace_s,
+            cancel_path=str(
+                Path(self.config.journal_root) / f"{job_id}.cancel"
+            ),
+            shared_pattern_store=True,
+        )
+        spec = dataclasses.replace(spec, supervise=supervise)
+        return _Job(
+            job_id=job_id, spec=spec, journal_dir=journal_dir,
+            n_cells=_n_cells(spec), **fields,
         )
 
     @property
@@ -578,25 +591,10 @@ class JobService:
             journal_dir = self.jobs[resume_of].journal_dir
         else:
             journal_dir = str(Path(self.config.journal_root) / job_id)
-        spec = dataclasses.replace(
-            spec,
-            supervise=SupervisorConfig(
-                journal_dir=journal_dir,
-                resume=resume_of is not None,
-                live_events=True,
-                cancel_grace_s=self.config.cancel_grace_s,
-            ),
-        )
-        job = _Job(
-            job_id=job_id,
+        job = self._new_job(
+            spec, job_id, journal_dir, resume=resume_of is not None,
             seq=seq,
-            spec=spec,
             params=params,
-            journal_dir=journal_dir,
-            cancel_file=str(
-                Path(self.config.journal_root) / f"{job_id}.cancel"
-            ),
-            n_cells=_n_cells(spec),
             spec_hash=shash,
             state="submitted",
             idempotency_key=(
@@ -772,10 +770,11 @@ class JobService:
 
     def _run_job_sync(self, job: _Job, deadline_ts: Optional[float]) -> JobResult:
         """Worker-thread body: execute one spec under the runner."""
-        runner = JobRunner(
-            cancel_path=job.cancel_file, shared_pattern_cache=True,
-            deadline_ts=deadline_ts,
-        )
+        spec = job.spec
+        if deadline_ts is not None:
+            spec = dataclasses.replace(spec, supervise=dataclasses.replace(
+                spec.supervise, deadline_ts=deadline_ts,
+            ))
 
         def on_event(ev) -> None:
             record = {
@@ -784,7 +783,7 @@ class JobService:
             }
             self._loop.call_soon_threadsafe(job.events.append, record)
 
-        return runner.run(job.spec, on_event=on_event)
+        return JobRunner().run(spec, on_event=on_event)
 
     def _finish_job(self, job: _Job, future, t0: float) -> None:
         self.queue.mark_finished(job.spec.tenant)

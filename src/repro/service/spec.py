@@ -20,9 +20,10 @@ queue, quota, cancellation, and query machinery are kind-agnostic.
 
 Specs are plain frozen dataclasses of frozen dataclasses: picklable
 (they cross process boundaries inside the supervised pool) and stable
-under ``repr`` (their reprs feed sweep/journal keys, which is why every
-execution-plumbing knob lives *outside* the config or is excluded from
-its repr).
+under ``repr`` (their reprs feed sweep/journal keys).  A job's controls
+(cancel flag, deadline, shared pattern store) live outside the
+experiment config, in ``supervise``: the supervisor hands them to every
+cell, so no experiment config carries them.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class ExperimentKind:
     render: Callable[[JobSpec, JobOutcome], List[str]]
     digest: Callable[[JobOutcome], Optional[str]]
     exit_code: Callable[[JobOutcome], int]
-    #: attach service plumbing (cancel flag, shared pattern cache,
-    #: wall-clock deadline) to a spec's config without changing its
-    #: repr/keys
-    instrument: Callable[[object, Optional[str], bool, Optional[float]], object]
 
 
 # ---------------------------------------------------------------------- #
@@ -149,16 +146,6 @@ def _sedov_render(spec: JobSpec, outcome: JobOutcome) -> List[str]:
     )
 
 
-def _sedov_instrument(config, cancel_path, shared_cache, deadline_ts=None):
-    driver = dataclasses.replace(
-        config.driver,
-        cancel_path=cancel_path,
-        pattern_cache_shared=shared_cache,
-        deadline_ts=deadline_ts,
-    )
-    return dataclasses.replace(config, driver=driver)
-
-
 # ---------------------------------------------------------------------- #
 # scalebench
 # ---------------------------------------------------------------------- #
@@ -183,15 +170,15 @@ def _scalebench_config(params: Mapping):
 
 
 def _scalebench_execute(spec: JobSpec, on_event) -> JobOutcome:
-    from ..bench import run_scalebench, run_scalebench_supervised
+    from ..bench import run_scalebench_supervised
 
-    if spec.supervise is not None:
-        result = run_scalebench_supervised(
-            spec.config, jobs=spec.jobs, supervise=spec.supervise,
-            on_event=on_event,
-        )
-        return JobOutcome(result=result.rows, executor=result.executor)
-    return JobOutcome(result=run_scalebench(spec.config, jobs=spec.jobs))
+    result = run_scalebench_supervised(
+        spec.config, jobs=spec.jobs, supervise=spec.supervise,
+        on_event=on_event,
+    )
+    # The executor block renders only under requested supervision.
+    executor = None if spec.supervise is None else result.executor
+    return JobOutcome(result=result.rows, executor=executor)
 
 
 def _scalebench_render(spec: JobSpec, outcome: JobOutcome) -> List[str]:
@@ -208,14 +195,6 @@ def _scalebench_digest(outcome: JobOutcome) -> str:
     from ..bench import scalebench_digest
 
     return scalebench_digest(outcome.result)
-
-
-def _scalebench_instrument(config, cancel_path, shared_cache, deadline_ts=None):
-    # No epoch engine under scalebench cells: mid-cell cancellation, the
-    # shared pattern cache, and in-cell deadline checks don't apply
-    # (cells are sub-second; the supervisor-level cancel/deadline
-    # between cells is the effective one).
-    return config
 
 
 # ---------------------------------------------------------------------- #
@@ -278,12 +257,6 @@ def _resilience_exit_code(outcome: JobOutcome) -> int:
     return 0 if outcome.result.deterministic in (True, None) else 1
 
 
-def _resilience_instrument(config, cancel_path, shared_cache, deadline_ts=None):
-    # Deadlines for resilience arms are enforced between cells by the
-    # supervisor; the arms themselves are short, fixed-length runs.
-    return dataclasses.replace(config, cancel_path=cancel_path)
-
-
 # ---------------------------------------------------------------------- #
 
 
@@ -299,7 +272,6 @@ REGISTRY: Dict[str, ExperimentKind] = {
         render=_sedov_render,
         digest=_sedov_digest,
         exit_code=lambda outcome: 0,
-        instrument=_sedov_instrument,
     ),
     "scalebench": ExperimentKind(
         name="scalebench",
@@ -308,7 +280,6 @@ REGISTRY: Dict[str, ExperimentKind] = {
         render=_scalebench_render,
         digest=_scalebench_digest,
         exit_code=lambda outcome: 0,
-        instrument=_scalebench_instrument,
     ),
     "resilience": ExperimentKind(
         name="resilience",
@@ -317,7 +288,6 @@ REGISTRY: Dict[str, ExperimentKind] = {
         render=_resilience_render,
         digest=_resilience_digest,
         exit_code=_resilience_exit_code,
-        instrument=_resilience_instrument,
     ),
 }
 

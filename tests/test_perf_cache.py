@@ -12,6 +12,7 @@ from repro.core.policy import get_policy
 from repro.engine.types import DriverConfig
 from repro.mesh.neighbors import NeighborGraph
 from repro.perf.cache import SharedPatternCache
+from repro.perf.supervisor import SWEEP_CONFIG, SupervisorConfig
 from repro.resilience.experiment import small_workload
 from repro.simnet.cluster import Cluster
 from repro.simnet.runtime import ExchangePattern
@@ -184,10 +185,15 @@ class TestEngineIntegration:
     def test_cached_run_equals_uncached(self, epochs, cluster):
         policy = get_policy("baseline")
         base = dict(use_measured_costs=False, placement_charge_s=0.002)
-        shared = DriverConfig(pattern_cache_shared=True, **base)
-        run_trajectory(policy, epochs, cluster, shared)     # warm the store
-        cached = run_trajectory(policy, epochs, cluster, shared)
-        uncached = run_trajectory(policy, epochs, cluster, DriverConfig(**base))
+        config = DriverConfig(**base)
+        # The engine takes the store setting from the sweep running it.
+        scope = SWEEP_CONFIG.set(SupervisorConfig(shared_pattern_store=True))
+        try:
+            run_trajectory(policy, epochs, cluster, config)  # warm the store
+            cached = run_trajectory(policy, epochs, cluster, config)
+        finally:
+            SWEEP_CONFIG.reset(scope)
+        uncached = run_trajectory(policy, epochs, cluster, config)
         assert cached.pattern_cache_hits > 0
         assert cached.pattern_cache_misses == 0
         assert uncached.pattern_cache_hits == uncached.pattern_cache_misses == 0

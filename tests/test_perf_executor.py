@@ -111,6 +111,23 @@ class TestCellExecutionError:
         assert "ValueError" in str(err)
 
 
+    def test_unsupervised_scalebench_is_strict(self, monkeypatch):
+        """Like sedov and resilience, scalebench without requested
+        supervision runs under STRICT: a failing cell raises instead of
+        being retried and quarantined."""
+        from repro.bench.scalebench import run_scalebench_supervised
+        from repro.perf.supervisor import CHAOS_ENV
+
+        monkeypatch.setenv(CHAOS_ENV, "flaky:0")
+        config = ScalebenchConfig(
+            scales=(128,), x_values=(0.0,), distributions=("gaussian",),
+            repeats=1,
+        )
+        with pytest.raises(CellExecutionError) as exc_info:
+            run_scalebench_supervised(config)
+        assert exc_info.value.index == 0
+
+
 class TestSedovSweepParity:
     @pytest.fixture(scope="class")
     def config(self):

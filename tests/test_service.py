@@ -313,6 +313,21 @@ class TestServiceEndToEnd:
             assert c.status(job)["pattern_cache"]["hits"] > 0
             assert c.tenant_status("carol")["cache"]["pattern_hits"] > 0
 
+    def test_resilience_job_matches_in_process_run(self, live_service):
+        """Resilience arms run under the same job controls as sedov
+        cells, shared pattern store included, with unchanged results."""
+        params = {"ranks": 128, "steps": 200, "check_determinism": False}
+        svc = live_service()
+        with svc.client() as c:
+            job = c.submit("resilience", params, tenant="dave")
+            reply = c.result(job, timeout_s=600)
+        assert reply["state"] == "done"
+        ref = JobRunner().run(spec_from_params("resilience", params))
+        assert reply["result"]["digest"] == ref.digest
+        assert reply["result"]["text"] == ref.text
+        cache = reply["result"]["pattern_cache"]
+        assert cache["hits"] + cache["misses"] > 0
+
     def test_events_stream_reaches_completion(self, live_service):
         svc = live_service()
         with svc.client() as c:

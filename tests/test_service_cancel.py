@@ -20,7 +20,11 @@ from repro.engine import EpochEngine, EpochHook
 from repro.engine.types import DriverConfig
 from repro.perf.cancel import CancelToken, JobCancelled
 from repro.perf.journal import SweepJournal, sweep_key
-from repro.perf.supervisor import SupervisorConfig, supervised_map
+from repro.perf.supervisor import (
+    SWEEP_CONFIG,
+    SupervisorConfig,
+    supervised_map,
+)
 from repro.resilience.experiment import small_workload
 from repro.simnet.cluster import Cluster
 
@@ -66,10 +70,15 @@ class TestEngineCancellation:
         from repro.core.policy import get_policy
 
         epochs = small_workload(16, 60)
-        engine = EpochEngine(
-            get_policy("lpt"), epochs, Cluster(n_ranks=16),
-            DriverConfig(seed=1, cancel_path=flag), hooks,
-        )
+        # The engine takes the cancel flag from the sweep running it.
+        scope = SWEEP_CONFIG.set(SupervisorConfig(cancel_path=flag))
+        try:
+            engine = EpochEngine(
+                get_policy("lpt"), epochs, Cluster(n_ranks=16),
+                DriverConfig(seed=1), hooks,
+            )
+        finally:
+            SWEEP_CONFIG.reset(scope)
         return engine, epochs
 
     def test_preexisting_flag_refuses_to_start(self, tmp_path):
@@ -101,6 +110,42 @@ class TestEngineCancellation:
         engine, epochs = self._run([counter], flag)
         engine.run()
         assert counter.ends == len(epochs)
+
+
+def _engine_controls(_):
+    """Which job controls an engine built inside this cell picked up."""
+    from repro.core.policy import get_policy
+    from repro.engine.hooks import CancellationHook
+
+    engine = EpochEngine(
+        get_policy("lpt"), small_workload(16, 20)[:1], Cluster(n_ranks=16),
+    )
+    return (
+        any(isinstance(h, CancellationHook) for h in engine.hooks),
+        engine.ctx.pattern_cache is not None,
+    )
+
+
+class TestSweepConfigChannel:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_cell_gets_the_sweeps_controls(self, tmp_path, jobs):
+        config = SupervisorConfig(
+            cancel_path=str(tmp_path / "cancel.flag"),
+            shared_pattern_store=True,
+        )
+        report = supervised_map(
+            _engine_controls, range(3), jobs=jobs, config=config
+        )
+        assert report.results == [(True, True)] * 3
+        # Nothing leaks out of the sweep into the next run.
+        assert _engine_controls(None) == (False, False)
+
+    def test_deadline_alone_attaches_the_hook(self):
+        report = supervised_map(
+            _engine_controls, [0],
+            config=SupervisorConfig(deadline_ts=4e9),
+        )
+        assert report.results == [(True, False)]
 
 
 class TestSupervisorCancellation:
@@ -191,9 +236,9 @@ class TestRunnerCancellation:
         CancelToken(flag).set()  # cancel before the first cell starts
         spec = spec_from_params(
             "sedov", self.PARAMS,
-            supervise=SupervisorConfig(journal_dir=journal),
+            supervise=SupervisorConfig(journal_dir=journal, cancel_path=flag),
         )
-        result = JobRunner(cancel_path=flag).run(spec)
+        result = JobRunner().run(spec)
         assert result.cancelled
         assert result.exit_code == CANCELLED_EXIT_CODE
         assert result.text.startswith("cancelled: ")

@@ -280,6 +280,35 @@ class TestRestartRecovery:
                 assert (c.result(job_id, timeout_s=10)["result"]["digest"]
                         == serial_tiny.digest), job_id
 
+    def test_recovered_job_cancels_mid_run_and_resumes(
+        self, tmp_path, live_service
+    ):
+        """A requeued job carries the same cancel flag and store setting
+        as a fresh submit: it can be cancelled while it runs, and its
+        journal then resumes bit-identically."""
+        state = tmp_path / "state"
+        JobStore(state).write(make_record(
+            "job-0001", 1, params=WIDE, state="running",
+            journal_dir=str(tmp_path / "svc" / "job-0001"),
+        ), force=True)
+        svc = live_service(state_dir=str(state))
+        supervise = svc.service.jobs["job-0001"].spec.supervise
+        assert supervise.cancel_path and supervise.shared_pattern_store
+        with svc.client() as c:
+            wait_for(lambda: c.status("job-0001")["cells_done"] >= 1)
+            c.cancel("job-0001")
+            reply = c.result("job-0001", timeout_s=300)
+            assert reply["state"] == "cancelled"
+            assert reply["result"]["exit_code"] == 130
+            status = c.status("job-0001")
+            assert status["cells_done"] < status["cells_total"]
+            resumed = c.submit("sedov", WIDE, resume_of="job-0001")
+            final = c.result(resumed, timeout_s=600)
+            assert final["state"] == "done"
+            assert final["result"]["counters"]["n_resume_hits"] >= 1
+        serial = JobRunner().run(spec_from_params("sedov", WIDE))
+        assert final["result"]["digest"] == serial.digest
+
     def test_recovered_queued_jobs_bypass_admission_quotas(
         self, tmp_path, live_service
     ):
@@ -390,6 +419,22 @@ class TestDeadlines:
             assert final["state"] == "done"
         serial = JobRunner().run(spec_from_params("sedov", WIDE))
         assert final["result"]["digest"] == serial.digest
+
+    def test_deadline_stops_resilience_inside_first_arm(self, live_service):
+        """The deadline reaches resilience arms at epoch boundaries, as
+        it reaches sedov cells: the first arm never completes.  At 2000
+        steps an arm runs for over a second, well past the deadline."""
+        params = {"ranks": 256, "steps": 2000, "check_determinism": False}
+        svc = live_service()
+        with svc.client() as c:
+            job = c.submit("resilience", params, deadline_s=0.5)
+            reply = c.result(job, timeout_s=300)
+            events = c.events(job)["events"]
+        assert reply["state"] == "failed"
+        assert reply["result"]["deadline_exceeded"] is True
+        assert reply["result"]["exit_code"] == 124
+        assert reply["result"]["text"].startswith("deadline exceeded: ")
+        assert "complete" not in [e["kind"] for e in events]
 
     def test_invalid_deadline_rejected(self, live_service):
         svc = live_service()
