@@ -6,17 +6,20 @@ Godunov-type finite-volume scheme for the 2D Euler equations
 
     U_t + F(U)_x + G(U)_y = 0,   U = (rho, rho u, rho v, E)
 
-with HLL fluxes, on the block-structured mesh with ghost exchange across
-refinement levels.  Gradient-based tagging feeds the same 2:1-balanced
-refinement machinery the placement study uses, and per-block kernel
-*times are measured*, so the telemetry-driven cost model can be fed by
-actual computation (see ``examples/blast_hydro.py``).
+with HLL fluxes.  Block data, ghost exchange across refinement levels
+and the run loop come from :class:`~repro.amr.solver.BlockFieldSolver`;
+this module supplies the Euler physics: fluxes, the CFL limit,
+reflective walls and the remesh transfer.  Gradient-based tagging feeds
+the same 2:1-balanced refinement machinery the placement study uses,
+and per-block kernel *times are measured*, so the telemetry-driven cost
+model can be fed by actual computation (see ``examples/blast_hydro.py``).
 
 Scope: first-order accurate, gamma-law gas, non-conservative at
 coarse-fine faces (no flux correction — ghost sampling only), intended
 as a correctness-bearing demonstration rather than a production scheme.
-The tests pin it against the Sod shock tube and check positivity,
-symmetry, and uniform-mesh conservation.
+The tests pin it against the Sod shock tube, check positivity,
+symmetry, and uniform-mesh conservation, and measure its first-order
+grid convergence on a smooth acoustic wave.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from ..mesh.geometry import BlockIndex
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
+from .solver import BlockFieldSolver
 
 __all__ = ["EulerState", "EulerSolver2D", "sod_initial_state", "blast_initial_state"]
 
@@ -90,6 +94,13 @@ def _hll_flux_x(UL: np.ndarray, UR: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+def _rel_gradient(field: np.ndarray) -> float:
+    """Largest cell-to-cell jump of a block field, relative to its mean."""
+    gx = np.abs(np.diff(field, axis=0)).max(initial=0.0)
+    gy = np.abs(np.diff(field, axis=1)).max(initial=0.0)
+    return float(max(gx, gy)) / max(float(field.mean()), 1e-12)
+
+
 def _swap_xy(U: np.ndarray) -> np.ndarray:
     """Exchange the x/y momentum components (for y-direction fluxes)."""
     W = U.copy()
@@ -97,7 +108,7 @@ def _swap_xy(U: np.ndarray) -> np.ndarray:
     return W
 
 
-class EulerSolver2D:
+class EulerSolver2D(BlockFieldSolver):
     """Block-structured 2D Euler solver with AMR support.
 
     Parameters
@@ -125,37 +136,20 @@ class EulerSolver2D:
             raise ValueError("cfl out of range (0, 0.8]")
         if stiffness_work < 0:
             raise ValueError("stiffness_work must be >= 0")
-        self.mesh = mesh
+        super().__init__(mesh, cfl)
         self.gamma = gamma
-        self.cfl = cfl
         #: extra flux-solve passes on high-gradient blocks, emulating the
         #: iterative kernels of §II-B ("regions with steep gradients may
         #: require more solver iterations").  Results are unchanged; only
         #: the *measured kernel time* becomes gradient-dependent — which
         #: is exactly the variability telemetry-driven placement targets.
         self.stiffness_work = stiffness_work
-        self.nc = mesh.block_cells
-        #: conserved variables per leaf, shape (nc, nc, NVAR)
-        self.data: Dict[BlockIndex, np.ndarray] = {}
-        self.time = 0.0
         #: measured per-block kernel seconds from the last step
         self.kernel_times: Dict[BlockIndex, float] = {}
 
     # ------------------------------------------------------------------ #
-    # geometry / state
+    # state
     # ------------------------------------------------------------------ #
-
-    def _geom(self, b: BlockIndex) -> Tuple[np.ndarray, float]:
-        from ..mesh.geometry import block_bounds
-
-        lo, hi = block_bounds(b, self.mesh.root, self.mesh.domain_size)
-        return lo, float((hi[0] - lo[0]) / self.nc)
-
-    def _centers(self, b: BlockIndex) -> Tuple[np.ndarray, np.ndarray]:
-        lo, h = self._geom(b)
-        xs = lo[0] + (np.arange(self.nc) + 0.5) * h
-        ys = lo[1] + (np.arange(self.nc) + 0.5) * h
-        return np.meshgrid(xs, ys, indexing="ij")
 
     def initialize(
         self, fn: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
@@ -163,8 +157,7 @@ class EulerSolver2D:
         """Set state from ``fn(x, y) -> (rho, u, v, p)`` arrays."""
         self.data = {}
         for b in self.mesh.blocks:
-            X, Y = self._centers(b)
-            rho, u, v, p = fn(X, Y)
+            rho, u, v, p = fn(*self._centers(b))
             U = np.empty((self.nc, self.nc, NVAR))
             U[..., 0] = rho
             U[..., 1] = rho * u
@@ -175,11 +168,7 @@ class EulerSolver2D:
 
     def total_conserved(self) -> np.ndarray:
         """Domain integrals of (mass, x-momentum, y-momentum, energy)."""
-        total = np.zeros(NVAR)
-        for b, U in self.data.items():
-            _, h = self._geom(b)
-            total += U.sum(axis=(0, 1)) * h * h
-        return total
+        return self._integral()
 
     def min_density_pressure(self) -> Tuple[float, float]:
         rho_min = np.inf
@@ -190,73 +179,11 @@ class EulerSolver2D:
             p_min = min(p_min, float(p.min()))
         return rho_min, p_min
 
-    # ------------------------------------------------------------------ #
-    # ghost fill (point sampling, like the advection solver)
-    # ------------------------------------------------------------------ #
-
-    def _locate(self, x: float, y: float) -> Tuple[BlockIndex, Tuple[int, int]]:
-        domain = np.asarray(self.mesh.domain_size)
-        p = np.array([x, y], dtype=np.float64)
-        for k in range(2):
-            if self.mesh.root.periodic[k]:
-                p[k] %= domain[k]
-            else:
-                p[k] = min(max(p[k], 0.0), np.nextafter(domain[k], 0.0))
-        max_lvl = max((b.level for b in self.data), default=0)
-        ext = np.asarray(self.mesh.root.extent_at(max_lvl), dtype=np.float64)
-        width = domain / ext
-        cell = np.minimum((p // width).astype(np.int64), (ext - 1).astype(np.int64))
-        probe = BlockIndex(max_lvl, (int(cell[0]), int(cell[1])))
-        leaf = self.mesh.forest.find_covering_leaf(probe)
-        if leaf is None:
-            raise RuntimeError(f"no leaf covers ({x}, {y})")
-        lo, h = self._geom(leaf)
-        i = int(min(max((p[0] - lo[0]) // h, 0), self.nc - 1))
-        j = int(min(max((p[1] - lo[1]) // h, 0), self.nc - 1))
-        return leaf, (i, j)
-
-    def _sample(self, x: float, y: float) -> np.ndarray:
-        b, (i, j) = self._locate(x, y)
-        return self.data[b][i, j]
-
-    def _ghosted(self, b: BlockIndex) -> np.ndarray:
-        """Block state with one ghost layer (reflective domain walls)."""
-        nc = self.nc
-        g = np.empty((nc + 2, nc + 2, NVAR))
-        g[1:-1, 1:-1] = self.data[b]
-        lo, h = self._geom(b)
-        domain = np.asarray(self.mesh.domain_size)
-
-        def boundary_ghost(interior: np.ndarray, axis: int) -> np.ndarray:
-            # Reflective wall: copy interior, flip normal momentum.
-            ghost = interior.copy()
-            ghost[..., 1 + axis] = -ghost[..., 1 + axis]
-            return ghost
-
-        # West / East columns.
-        for side, gx, ix in (("W", 0, 1), ("E", nc + 1, nc)):
-            x = lo[0] - 0.5 * h if side == "W" else lo[0] + (nc + 0.5) * h
-            inside = (0 <= x < domain[0]) or self.mesh.root.periodic[0]
-            if inside:
-                ys = lo[1] + (np.arange(nc) + 0.5) * h
-                for j, y in enumerate(ys):
-                    g[gx, j + 1] = self._sample(x, y)
-            else:
-                g[gx, 1:-1] = boundary_ghost(g[ix, 1:-1], axis=0)
-        # South / North rows.
-        for side, gy, iy in (("S", 0, 1), ("N", nc + 1, nc)):
-            y = lo[1] - 0.5 * h if side == "S" else lo[1] + (nc + 0.5) * h
-            inside = (0 <= y < domain[1]) or self.mesh.root.periodic[1]
-            if inside:
-                xs = lo[0] + (np.arange(nc) + 0.5) * h
-                for i, x in enumerate(xs):
-                    g[i + 1, gy] = self._sample(x, y)
-            else:
-                g[1:-1, gy] = boundary_ghost(g[1:-1, iy], axis=1)
-        # Corner ghosts (unused by the face-based scheme): nearest edge.
-        g[0, 0], g[0, -1] = g[0, 1], g[0, -2]
-        g[-1, 0], g[-1, -1] = g[-1, 1], g[-1, -2]
-        return g
+    def _wall(self, face: np.ndarray, axis: int) -> np.ndarray:
+        """Reflective wall: mirror the face, flip the normal momentum."""
+        ghost = face.copy()
+        ghost[..., 1 + axis] *= -1.0
+        return ghost
 
     # ------------------------------------------------------------------ #
     # time stepping
@@ -302,11 +229,7 @@ class EulerSolver2D:
             if self.stiffness_work:
                 # Gradient-proportional extra solver passes (cost model
                 # only; the state update above stands).
-                rho = U[..., 0]
-                rel = float(
-                    max(np.abs(np.diff(rho, axis=0)).max(initial=0.0),
-                        np.abs(np.diff(rho, axis=1)).max(initial=0.0))
-                ) / max(float(rho.mean()), 1e-12)
+                rel = _rel_gradient(U[..., 0])
                 extra = int(min(self.stiffness_work * rel, 8 * self.stiffness_work))
                 for _ in range(extra):
                     _hll_flux_x(g[:-1, 1:-1], g[1:, 1:-1], self.gamma)
@@ -314,13 +237,6 @@ class EulerSolver2D:
         self.data = new
         self.time += dt
         return dt
-
-    def run(self, t_end: float, max_steps: int = 100_000) -> int:
-        steps = 0
-        while self.time < t_end - 1e-12 and steps < max_steps:
-            self.step(min(self.max_dt(), t_end - self.time))
-            steps += 1
-        return steps
 
     # ------------------------------------------------------------------ #
     # AMR coupling
@@ -335,16 +251,10 @@ class EulerSolver2D:
         discontinuity in uniform density — a density-only criterion
         would miss the initial shock entirely.
         """
-
-        def rel_gradient(field: np.ndarray) -> float:
-            gx = np.abs(np.diff(field, axis=0)).max(initial=0.0)
-            gy = np.abs(np.diff(field, axis=1)).max(initial=0.0)
-            return max(gx, gy) / max(float(field.mean()), 1e-12)
-
         tags = RefinementTags()
         for b, U in self.data.items():
             rho, _, _, p = _primitives(U, self.gamma)
-            rel = max(rel_gradient(rho), rel_gradient(p))
+            rel = max(_rel_gradient(rho), _rel_gradient(p))
             if rel > threshold and b.level < self.mesh.forest.max_level:
                 tags.refine.add(b)
             elif rel < coarsen_below and b.level > 0:

@@ -1,19 +1,24 @@
-"""A minimal finite-volume advection solver on the AMR mesh (2D/3D).
+"""Block-field solvers on the AMR mesh, and a finite-volume advection solver.
+
+:class:`BlockFieldSolver` is the mesh layer every block solver shares:
+each leaf carries a ``block_cells^dim`` cell array (optionally with
+trailing component axes), ghost values are filled from neighboring
+leaves (across refinement levels, by sampling the covering leaf's
+cells), and :meth:`~BlockFieldSolver.run` advances with a global CFL
+timestep.  A solver subclasses it and supplies only its physics:
+``initialize``, ``max_dt``, ``step`` and, for non-periodic domain
+walls, ``_wall``.
 
 The performance model never touches cell data, but a credible AMR
-substrate should actually *compute* on its blocks.  This module solves
-linear advection ``u_t + v . grad(u) = 0`` with a first-order upwind
-scheme on the block-structured mesh: every block carries a
-``block_cells^dim`` cell array with one ghost layer, ghost values are
-filled from neighboring leaves (across refinement levels, by sampling
-the covering leaf's cells), and blocks advance with a global CFL
-timestep.
-
+substrate should actually *compute* on its blocks.
+:class:`AdvectionSolver` solves linear advection
+``u_t + v . grad(u) = 0`` with a first-order upwind scheme in 2D or 3D.
 It doubles as an executable validation of the mesh machinery — the
 property tests check exact constant preservation on arbitrary refined
 meshes (2D and 3D), the upwind maximum principle, exact conservation on
 uniform periodic meshes, and agreement with the analytic translated
-solution.
+solution.  :class:`~repro.amr.hydro.EulerSolver2D` is the other
+subclass.
 """
 
 from __future__ import annotations
@@ -22,13 +27,143 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex
+from ..mesh.geometry import BlockIndex, block_bounds
 from ..mesh.mesh import AmrMesh
 
-__all__ = ["AdvectionSolver"]
+__all__ = ["AdvectionSolver", "BlockFieldSolver"]
 
 
-class AdvectionSolver:
+class BlockFieldSolver:
+    """Cell data on the leaves of an AmrMesh, with ghost exchange.
+
+    Parameters
+    ----------
+    mesh:
+        The block mesh; ``data`` holds one array per leaf of shape
+        ``(block_cells,) * dim`` followed by any component axes.
+    cfl:
+        CFL number the subclass's ``max_dt`` applies.
+    """
+
+    def __init__(self, mesh: AmrMesh, cfl: float) -> None:
+        self.mesh = mesh
+        self.cfl = cfl
+        self.nc = mesh.block_cells
+        self.dim = mesh.dim
+        #: interior cell data per leaf
+        self.data: Dict[BlockIndex, np.ndarray] = {}
+        self.time = 0.0
+
+    # ------------------------------------------------------------------ #
+    # geometry
+    # ------------------------------------------------------------------ #
+
+    def _geom(self, b: BlockIndex) -> Tuple[np.ndarray, float]:
+        """(lower corner, cell width) of a block in physical units."""
+        lo, hi = block_bounds(b, self.mesh.root, self.mesh.domain_size)
+        return lo, float((hi[0] - lo[0]) / self.nc)
+
+    def _centers(self, b: BlockIndex) -> Tuple[np.ndarray, ...]:
+        """Cell-center coordinate arrays of a block, one per axis."""
+        lo, h = self._geom(b)
+        axes = [lo[k] + (np.arange(self.nc) + 0.5) * h for k in range(self.dim)]
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
+    def _integral(self) -> np.ndarray:
+        """Domain integral of every component (cell values x volumes)."""
+        cells = tuple(range(self.dim))
+        return sum(
+            u.sum(axis=cells) * self._geom(b)[1] ** self.dim
+            for b, u in self.data.items()
+        )
+
+    # ------------------------------------------------------------------ #
+    # point location and ghost fill
+    # ------------------------------------------------------------------ #
+
+    def _locate(self, p: np.ndarray) -> Tuple[BlockIndex, Tuple[int, ...]]:
+        """Leaf and interior cell index containing a (wrapped) point."""
+        domain = np.asarray(self.mesh.domain_size)
+        p = np.array(p, dtype=np.float64)
+        for k in range(self.dim):
+            if self.mesh.root.periodic[k]:
+                p[k] %= domain[k]
+            else:
+                p[k] = min(max(p[k], 0.0), np.nextafter(domain[k], 0.0))
+        max_lvl = max((b.level for b in self.data), default=0)
+        ext = np.asarray(self.mesh.root.extent_at(max_lvl), dtype=np.float64)
+        width = domain / ext
+        cell = np.minimum((p // width).astype(np.int64), (ext - 1).astype(np.int64))
+        probe = BlockIndex(max_lvl, tuple(int(c) for c in cell))
+        leaf = self.mesh.forest.find_covering_leaf(probe)
+        if leaf is None:
+            raise RuntimeError(f"no leaf covers point {tuple(p)}")
+        lo, h = self._geom(leaf)
+        idx = tuple(
+            int(min(max((p[k] - lo[k]) // h, 0), self.nc - 1))
+            for k in range(self.dim)
+        )
+        return leaf, idx
+
+    def _sample(self, *coords: float) -> np.ndarray:
+        """Cell value (all components) of the leaf cell containing a point."""
+        b, idx = self._locate(np.asarray(coords, dtype=np.float64))
+        return self.data[b][idx]
+
+    def _wall(self, face: np.ndarray, axis: int) -> np.ndarray:
+        """Ghost plane behind a non-periodic domain wall: outflow (copy)."""
+        return face
+
+    def _ghosted(self, b: BlockIndex) -> np.ndarray:
+        """Block data with a one-cell ghost frame filled from neighbors.
+
+        Ghost values sample the covering leaf's cell at the ghost-cell
+        center — piecewise-constant prolongation across coarse-fine
+        interfaces (first-order accurate, matching the schemes' order).
+        Non-periodic domain boundaries take :meth:`_wall` of the adjacent
+        interior plane.  Only face ghost planes are filled: the
+        face-based stencils never read corners.
+        """
+        nc, dim = self.nc, self.dim
+        u = self.data[b]
+        g = np.empty((nc + 2,) * dim + u.shape[dim:], dtype=np.float64)
+        g[(slice(1, -1),) * dim] = u
+        lo, h = self._geom(b)
+        domain = np.asarray(self.mesh.domain_size)
+        face_axes = [lo[k] + (np.arange(nc) + 0.5) * h for k in range(dim)]
+        for axis in range(dim):
+            for coord, ghost_i, copy_i in (
+                (lo[axis] - 0.5 * h, 0, 1),
+                (lo[axis] + (nc + 0.5) * h, nc + 1, nc),
+            ):
+                ghost = tuple(ghost_i if k == axis else slice(1, -1) for k in range(dim))
+                if self.mesh.root.periodic[axis] or 0 <= coord < domain[axis]:
+                    axes = list(face_axes)
+                    axes[axis] = np.array([coord])
+                    grid = np.meshgrid(*axes, indexing="ij")
+                    points = np.stack(grid, axis=-1).reshape(-1, dim)
+                    vals = [self._sample(*p) for p in points]
+                    g[ghost] = np.reshape(vals, g[ghost].shape)
+                else:
+                    face = tuple(copy_i if k == axis else slice(1, -1) for k in range(dim))
+                    g[ghost] = self._wall(g[face], axis)
+        return g
+
+    # ------------------------------------------------------------------ #
+    # time stepping
+    # ------------------------------------------------------------------ #
+
+    def run(self, t_end: float, max_steps: int = 100_000) -> int:
+        """Advance to ``t_end``; returns the number of steps taken."""
+        steps = 0
+        while self.time < t_end - 1e-12 and steps < max_steps:
+            dt = min(self.max_dt(), t_end - self.time)
+            self.step(dt)
+            steps += 1
+        return steps
+
+
+class AdvectionSolver(BlockFieldSolver):
     """First-order upwind advection on a (possibly refined) 2D/3D AmrMesh.
 
     Parameters
@@ -58,31 +193,8 @@ class AdvectionSolver:
             )
         if not 0 < cfl <= 1.0:
             raise ValueError("cfl must be in (0, 1]")
-        self.mesh = mesh
+        super().__init__(mesh, cfl)
         self.velocity = velocity
-        self.cfl = cfl
-        self.nc = mesh.block_cells
-        self.dim = mesh.dim
-        #: interior cell data per leaf, shape (nc,)*dim
-        self.data: Dict[BlockIndex, np.ndarray] = {}
-        self.time = 0.0
-
-    # ------------------------------------------------------------------ #
-    # geometry helpers
-    # ------------------------------------------------------------------ #
-
-    def _block_geometry(self, b: BlockIndex) -> Tuple[np.ndarray, float]:
-        """(lower corner, cell width) of a block in physical units."""
-        from ..mesh.geometry import block_bounds
-
-        lo, hi = block_bounds(b, self.mesh.root, self.mesh.domain_size)
-        h = (hi[0] - lo[0]) / self.nc
-        return lo, float(h)
-
-    def _cell_centers(self, b: BlockIndex) -> Tuple[np.ndarray, ...]:
-        lo, h = self._block_geometry(b)
-        axes = [lo[k] + (np.arange(self.nc) + 0.5) * h for k in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
 
     # ------------------------------------------------------------------ #
     # state
@@ -92,16 +204,12 @@ class AdvectionSolver:
         """Set ``u = fn(x, y[, z])`` from cell-center coordinates."""
         self.data = {}
         for b in self.mesh.blocks:
-            self.data[b] = np.asarray(fn(*self._cell_centers(b)), dtype=np.float64)
+            self.data[b] = np.asarray(fn(*self._centers(b)), dtype=np.float64)
         self.time = 0.0
 
     def total_mass(self) -> float:
         """Integral of u over the domain (sum of cell values x volumes)."""
-        total = 0.0
-        for b, u in self.data.items():
-            _, h = self._block_geometry(b)
-            total += float(u.sum()) * h**self.dim
-        return total
+        return float(self._integral())
 
     def extrema(self) -> Tuple[float, float]:
         lo = min(float(u.min()) for u in self.data.values())
@@ -110,88 +218,7 @@ class AdvectionSolver:
 
     def sample_point(self, *coords: float) -> float:
         """Value of the cell containing a physical point."""
-        b, idx = self._locate(np.asarray(coords, dtype=np.float64))
-        return float(self.data[b][idx])
-
-    # ------------------------------------------------------------------ #
-    # ghost fill
-    # ------------------------------------------------------------------ #
-
-    def _locate(self, p: np.ndarray) -> Tuple[BlockIndex, Tuple[int, ...]]:
-        """Leaf and interior cell index containing a (wrapped) point."""
-        domain = np.asarray(self.mesh.domain_size)
-        p = p.copy()
-        for k in range(self.dim):
-            if self.mesh.root.periodic[k]:
-                p[k] %= domain[k]
-            else:
-                p[k] = min(max(p[k], 0.0), np.nextafter(domain[k], 0.0))
-        max_lvl = max((b.level for b in self.data), default=0)
-        ext = np.asarray(self.mesh.root.extent_at(max_lvl), dtype=np.float64)
-        width = domain / ext
-        cell = np.minimum((p // width).astype(np.int64), (ext - 1).astype(np.int64))
-        probe = BlockIndex(max_lvl, tuple(int(c) for c in cell))
-        leaf = self.mesh.forest.find_covering_leaf(probe)
-        if leaf is None:
-            raise RuntimeError(f"no leaf covers point {tuple(p)}")
-        lo, h = self._block_geometry(leaf)
-        idx = tuple(
-            int(min(max((p[k] - lo[k]) // h, 0), self.nc - 1))
-            for k in range(self.dim)
-        )
-        return leaf, idx
-
-    def _ghosted(self, b: BlockIndex) -> np.ndarray:
-        """Block data with a one-cell ghost frame filled from neighbors.
-
-        Ghost values sample the covering leaf's cell at the ghost-cell
-        center — piecewise-constant prolongation across coarse-fine
-        interfaces (first-order accurate, matching the scheme's order).
-        Non-periodic domain boundaries get outflow (copy) ghosts.
-        """
-        nc = self.nc
-        g = np.empty((nc + 2,) * self.dim, dtype=np.float64)
-        interior = (slice(1, -1),) * self.dim
-        g[interior] = self.data[b]
-        lo, h = self._block_geometry(b)
-        domain = np.asarray(self.mesh.domain_size)
-
-        # Face ghost planes only: the upwind stencil never reads corners.
-        face_axes = [lo[k] + (np.arange(nc) + 0.5) * h for k in range(self.dim)]
-        for axis in range(self.dim):
-            for side, coord, ghost_i, copy_i in (
-                ("lo", lo[axis] - 0.5 * h, 0, 1),
-                ("hi", lo[axis] + (nc + 0.5) * h, nc + 1, nc),
-            ):
-                inside = (0 <= coord < domain[axis]) or self.mesh.root.periodic[axis]
-                tangential = [face_axes[k] for k in range(self.dim) if k != axis]
-                grids = np.meshgrid(*tangential, indexing="ij") if tangential else []
-                ghost_slice = tuple(
-                    ghost_i if k == axis else slice(1, -1) for k in range(self.dim)
-                )
-                if inside:
-                    shape = (nc,) * (self.dim - 1)
-                    vals = np.empty(shape)
-                    for flat in range(int(np.prod(shape))):
-                        tidx = np.unravel_index(flat, shape) if shape else ()
-                        point = np.empty(self.dim)
-                        point[axis] = coord
-                        t = 0
-                        for k in range(self.dim):
-                            if k == axis:
-                                continue
-                            point[k] = grids[t][tidx]
-                            t += 1
-                        leaf, idx = self._locate(point)
-                        vals[tidx] = self.data[leaf][idx]
-                    g[ghost_slice] = vals
-                else:
-                    copy_slice = tuple(
-                        copy_i if k == axis else slice(1, -1)
-                        for k in range(self.dim)
-                    )
-                    g[ghost_slice] = g[copy_slice]
-        return g
+        return float(self._sample(*coords))
 
     # ------------------------------------------------------------------ #
     # time stepping
@@ -202,7 +229,7 @@ class AdvectionSolver:
         speed = sum(abs(v) for v in self.velocity)
         if speed == 0:
             return np.inf
-        h_min = min(self._block_geometry(b)[1] for b in self.data)
+        h_min = min(self._geom(b)[1] for b in self.data)
         return self.cfl * h_min / speed
 
     def step(self, dt: float | None = None) -> float:
@@ -214,7 +241,7 @@ class AdvectionSolver:
         new: Dict[BlockIndex, np.ndarray] = {}
         interior = (slice(1, -1),) * self.dim
         for b, u in self.data.items():
-            _, h = self._block_geometry(b)
+            _, h = self._geom(b)
             g = self._ghosted(b)
             c = g[interior]
             update = np.zeros_like(c)
@@ -238,12 +265,3 @@ class AdvectionSolver:
         self.data = new
         self.time += dt
         return dt
-
-    def run(self, t_end: float, max_steps: int = 100_000) -> int:
-        """Advance to ``t_end``; returns the number of steps taken."""
-        steps = 0
-        while self.time < t_end - 1e-12 and steps < max_steps:
-            dt = min(self.max_dt(), t_end - self.time)
-            self.step(dt)
-            steps += 1
-        return steps

@@ -100,12 +100,6 @@ class TaskGraph:
     def predecessors(self, tid: int) -> List[int]:
         return self.deps[tid]
 
-    def by_rank(self) -> Dict[int, List[Task]]:
-        out: Dict[int, List[Task]] = {}
-        for t in self.tasks:
-            out.setdefault(t.rank, []).append(t)
-        return out
-
     def match_sends_recvs(self) -> Dict[int, Tuple[int, int]]:
         """Map tag -> (send tid, recv tid); validates 1:1 matching."""
         sends: Dict[int, int] = {}

@@ -36,7 +36,7 @@ import os
 import pickle
 import struct
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..telemetry.columnar import fsync_dir
 
@@ -65,14 +65,6 @@ def sweep_key(fn: Callable, items: Sequence[object]) -> str:
         h.update(repr(it).encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SweepJournal:
@@ -218,32 +210,14 @@ class SweepJournal:
     def telemetry_dir(self) -> Path:
         return self.dir / "telemetry"
 
-    def append_events(self, events: List, counters: Dict[str, int],
-                      start: int = 0) -> None:
-        """Append this run segment's executor events as a telemetry
-        partition (queryable with ``repro query <dir>/telemetry``).
-
-        ``start`` is the global id of the first event in this batch, so
-        incremental (live) flushes keep ids monotonic across partitions.
-        """
-        import numpy as np
-
-        from ..telemetry.columnar import ColumnTable
+    def append_events(self, table) -> None:
+        """Append a batch of executor events (a table built by
+        :func:`repro.perf.supervisor.events_table`) as a telemetry
+        partition (queryable with ``repro query <dir>/telemetry``)."""
         from ..telemetry.dataset import TelemetryDataset
 
-        if not events:
-            return
         if self.telemetry_dir.exists():
             ds = TelemetryDataset.open(self.telemetry_dir)
         else:
             ds = TelemetryDataset.create(self.telemetry_dir)
-        table = ColumnTable(
-            {
-                "event": np.arange(start, start + len(events), dtype=np.int64),
-                "cell": np.asarray([e.cell for e in events], dtype=np.int64),
-                "kind": np.asarray([e.code for e in events], dtype=np.int64),
-                "attempt": np.asarray([e.attempt for e in events], dtype=np.int64),
-                "t_s": np.asarray([e.t_s for e in events], dtype=np.float64),
-            }
-        )
         ds.append(table, label=f"run-{ds.n_partitions:03d}")

@@ -189,6 +189,25 @@ class ExecutorEvent:
         return EVENT_CODES[self.kind]
 
 
+def events_table(events: Sequence[ExecutorEvent], start: int = 0):
+    """Executor events as a five-column
+    :class:`~repro.telemetry.columnar.ColumnTable`; ``event`` ids count
+    from ``start`` (the global id of ``events[0]``)."""
+    import numpy as np
+
+    from ..telemetry.columnar import ColumnTable
+
+    return ColumnTable(
+        {
+            "event": np.arange(start, start + len(events), dtype=np.int64),
+            "cell": np.asarray([e.cell for e in events], dtype=np.int64),
+            "kind": np.asarray([e.code for e in events], dtype=np.int64),
+            "attempt": np.asarray([e.attempt for e in events], dtype=np.int64),
+            "t_s": np.asarray([e.t_s for e in events], dtype=np.float64),
+        }
+    )
+
+
 @dataclasses.dataclass
 class SupervisedReport:
     """Ordered results plus the supervision record of one sweep."""
@@ -210,21 +229,7 @@ class SupervisedReport:
     def events_table(self):
         """The events as a :class:`~repro.telemetry.columnar.ColumnTable`
         (``kind`` is coded per :data:`EVENT_CODES`)."""
-        import numpy as np
-
-        from ..telemetry.columnar import ColumnTable
-
-        return ColumnTable(
-            {
-                "event": np.arange(len(self.events), dtype=np.int64),
-                "cell": np.asarray([e.cell for e in self.events], dtype=np.int64),
-                "kind": np.asarray([e.code for e in self.events], dtype=np.int64),
-                "attempt": np.asarray(
-                    [e.attempt for e in self.events], dtype=np.int64
-                ),
-                "t_s": np.asarray([e.t_s for e in self.events], dtype=np.float64),
-            }
-        )
+        return events_table(self.events)
 
     def summary_line(self) -> str:
         c = self.counters
@@ -569,7 +574,7 @@ class _Supervision:
         if self.journal is not None and self._flushed < len(self.events):
             batch = self.events[self._flushed:]
             try:
-                self.journal.append_events(batch, {}, start=self._flushed)
+                self.journal.append_events(events_table(batch, start=self._flushed))
             except OSError:
                 return             # telemetry must never fail the sweep
             self._flushed += len(batch)

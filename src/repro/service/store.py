@@ -220,12 +220,6 @@ class JobStore:
         _write_checksummed(self._record_path(record.job_id), payload)
         self._states[record.job_id] = record.state
 
-    def delete(self, job_id: str) -> None:
-        """Remove a record (a submit that admission control rejected)."""
-        self._record_path(job_id).unlink(missing_ok=True)
-        self._states.pop(job_id, None)
-        fsync_dir(self.jobs_dir)
-
     def load(self, job_id: str) -> Optional[JobRecord]:
         payload = _read_checksummed(self._record_path(job_id))
         return None if payload is None else JobRecord.from_json(payload)

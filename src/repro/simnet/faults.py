@@ -278,15 +278,6 @@ class FaultTimeline:
             if isinstance(e, NodeCrash) and step_lo <= e.step < step_hi
         ]
 
-    def throttle_onsets_until(self, step: int) -> List[ThrottleOnset]:
-        """All onsets at or before ``step`` (catch-up after a restore:
-        a thermally throttled node stays throttled across job restarts)."""
-        return [
-            e
-            for e in self.events
-            if isinstance(e, ThrottleOnset) and e.step <= step
-        ]
-
     def fault_model_at(self, step: int) -> FaultModel:
         """Effective static-equivalent fault model during ``step``.
 

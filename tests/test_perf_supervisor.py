@@ -408,6 +408,26 @@ class TestTelemetryEvents:
         assert by_kind[EVENT_CODES["error"]] == 1
         assert by_kind[EVENT_CODES["retry"]] == 1
 
+    @pytest.mark.parametrize("live", [False, True])
+    def test_spooled_events_equal_events_table(self, tmp_path, monkeypatch, live):
+        """The journal spool and the in-memory report build one table:
+        same columns, dtypes and ids, also across live partitions."""
+        from repro.telemetry.dataset import TelemetryDataset
+
+        monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
+        report = supervised_map(
+            _square, list(range(4)), jobs=2,
+            config=SupervisorConfig(
+                retries=1, journal_dir=str(tmp_path), backoff_base_s=0.01,
+                live_events=live,
+            ),
+        )
+        assert report.counters["n_retries"] == 1
+        ds = TelemetryDataset.open(Path(report.journal_path) / "telemetry")
+        if live:
+            assert ds.n_partitions > 1
+        assert ds.read() == report.events_table()
+
     def test_events_table_in_memory(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         report = supervised_map(
