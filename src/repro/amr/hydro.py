@@ -155,7 +155,7 @@ class EulerSolver2D(BlockFieldSolver):
         self, fn: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
     ) -> None:
         """Set state from ``fn(x, y) -> (rho, u, v, p)`` arrays."""
-        self.data = {}
+        data = {}
         for b in self.mesh.blocks:
             rho, u, v, p = fn(*self._centers(b))
             U = np.empty((self.nc, self.nc, NVAR))
@@ -163,7 +163,8 @@ class EulerSolver2D(BlockFieldSolver):
             U[..., 1] = rho * u
             U[..., 2] = rho * v
             U[..., 3] = p / (self.gamma - 1.0) + 0.5 * rho * (u**2 + v**2)
-            self.data[b] = U
+            data[b] = U
+        self.data = data
         self.time = 0.0
 
     def total_conserved(self) -> np.ndarray:

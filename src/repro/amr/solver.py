@@ -50,9 +50,19 @@ class BlockFieldSolver:
         self.cfl = cfl
         self.nc = mesh.block_cells
         self.dim = mesh.dim
-        #: interior cell data per leaf
-        self.data: Dict[BlockIndex, np.ndarray] = {}
+        self.data = {}
         self.time = 0.0
+
+    @property
+    def data(self) -> Dict[BlockIndex, np.ndarray]:
+        """Interior cell data per leaf; replace it whole, not in place."""
+        return self._data
+
+    @data.setter
+    def data(self, data: Dict[BlockIndex, np.ndarray]) -> None:
+        self._data = data
+        #: finest leaf level: point location probes the forest at it
+        self._finest = max((b.level for b in data), default=0)
 
     # ------------------------------------------------------------------ #
     # geometry
@@ -90,11 +100,10 @@ class BlockFieldSolver:
                 p[k] %= domain[k]
             else:
                 p[k] = min(max(p[k], 0.0), np.nextafter(domain[k], 0.0))
-        max_lvl = max((b.level for b in self.data), default=0)
-        ext = np.asarray(self.mesh.root.extent_at(max_lvl), dtype=np.float64)
+        ext = np.asarray(self.mesh.root.extent_at(self._finest), dtype=np.float64)
         width = domain / ext
         cell = np.minimum((p // width).astype(np.int64), (ext - 1).astype(np.int64))
-        probe = BlockIndex(max_lvl, tuple(int(c) for c in cell))
+        probe = BlockIndex(self._finest, tuple(int(c) for c in cell))
         leaf = self.mesh.forest.find_covering_leaf(probe)
         if leaf is None:
             raise RuntimeError(f"no leaf covers point {tuple(p)}")
@@ -202,9 +211,10 @@ class AdvectionSolver(BlockFieldSolver):
 
     def initialize(self, fn: Callable[..., np.ndarray]) -> None:
         """Set ``u = fn(x, y[, z])`` from cell-center coordinates."""
-        self.data = {}
-        for b in self.mesh.blocks:
-            self.data[b] = np.asarray(fn(*self._centers(b)), dtype=np.float64)
+        self.data = {
+            b: np.asarray(fn(*self._centers(b)), dtype=np.float64)
+            for b in self.mesh.blocks
+        }
         self.time = 0.0
 
     def total_mass(self) -> float:

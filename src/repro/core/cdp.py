@@ -10,7 +10,11 @@ Three solvers are provided:
 * :func:`cdp_restricted` — the paper's production variant: only chunk
   sizes ``ceil(n/r)`` and ``floor(n/r)`` are considered, giving an
   ``O(n·r)``-bounded DP (actually ``O(r · (n mod r))``) that is optimal
-  *within the explored chunk sizes*.
+  *within the explored chunk sizes*.  It is the one-zone call of
+  :func:`cdp_restricted_zones`, which solves many independent zones
+  (chunked CDP's) in one vectorized row loop: one row per rank of the
+  largest zone, four ufunc calls per row over a ``(zones, e + 1)``
+  state, so the interpreter work no longer grows with the zone count.
 * :func:`cdp_full` — the unrestricted ``O(n^2 r)`` DP; exact but too slow
   for large meshes.  Kept for the ablation of the restriction.
 * :func:`cdp_optimal_makespan` — exact optimal contiguous makespan via
@@ -20,9 +24,10 @@ Three solvers are provided:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .baseline import assignment_from_counts
 from .context import PlacementContext
@@ -32,6 +37,7 @@ __all__ = [
     "CDPPolicy",
     "CDPFullPolicy",
     "cdp_restricted",
+    "cdp_restricted_zones",
     "cdp_full",
     "cdp_optimal_makespan",
     "counts_makespan",
@@ -52,61 +58,146 @@ def counts_makespan(costs: np.ndarray, counts: np.ndarray) -> float:
 def cdp_restricted(costs: np.ndarray, n_ranks: int) -> np.ndarray:
     """Restricted CDP: per-rank counts limited to {floor(n/r), ceil(n/r)}.
 
-    Returns per-rank contiguous *counts* (not an assignment).  The DP
-    state is (ranks placed, ceil-sized segments used); since the start
-    offset of rank ``k`` with ``j`` ceil segments used is ``k*f + j``,
-    the table is ``(r+1) x (e+1)`` where ``e = n mod r`` — hence the
-    ``O(nr)`` bound quoted in the paper.
+    Returns per-rank contiguous *counts* (not an assignment): the
+    one-zone call of :func:`cdp_restricted_zones`.
     """
-    n = int(costs.shape[0])
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
-    f, e = divmod(n, n_ranks)
-    prefix = np.concatenate([[0.0], np.cumsum(costs, dtype=np.float64)])
-    if e == 0:
-        # Single legal configuration: every rank takes exactly f blocks.
-        return np.full(n_ranks, f, dtype=np.int64)
+    return cdp_restricted_zones(costs, [(0, int(costs.shape[0]), 0, n_ranks)])
 
-    INF = np.inf
-    # dp[j] = best makespan after current k ranks with j ceil segments used
-    dp = np.full(e + 1, INF, dtype=np.float64)
-    dp[0] = 0.0
-    # choice[k, j] = 1 if rank k-1 took a ceil segment on the best path
-    choice = np.zeros((n_ranks + 1, e + 1), dtype=np.int8)
-    js = np.arange(e + 1)
-    for k in range(1, n_ranks + 1):
-        # Feasibility window for j after k ranks.
-        j_lo = max(0, e - (n_ranks - k))
-        j_hi = min(e, k)
-        # Option A: rank k-1 takes a floor-size segment; state j unchanged.
-        start_f = (k - 1) * f + js  # start index given j ceils used before
-        seg_f = prefix[start_f + f] - prefix[start_f] if f > 0 else np.zeros(e + 1)
-        cand_f = np.maximum(dp, seg_f)
-        # Option B: rank k-1 takes a ceil segment; state j-1 -> j.
-        cand_c = np.full(e + 1, INF)
-        if e >= 1:
-            start_c = (k - 1) * f + js[:-1]  # previous state had j-1 = js[:-1]
-            seg_c = prefix[start_c + f + 1] - prefix[start_c]
-            cand_c[1:] = np.maximum(dp[:-1], seg_c)
-        take_ceil = cand_c < cand_f
-        ndp = np.where(take_ceil, cand_c, cand_f)
-        # Mask states outside the feasibility window.
-        invalid = (js < j_lo) | (js > j_hi)
-        ndp[invalid] = INF
-        choice[k] = take_ceil & ~invalid
-        dp = ndp
 
-    # Reconstruct counts from the choice table.
-    counts = np.empty(n_ranks, dtype=np.int64)
-    j = e
-    for k in range(n_ranks, 0, -1):
-        if choice[k, j]:
-            counts[k - 1] = f + 1
-            j -= 1
-        else:
-            counts[k - 1] = f
-    assert j == 0, "CDP reconstruction failed"
-    return counts
+def cdp_restricted_zones(
+    costs: np.ndarray, zones: Sequence[Tuple[int, int, int, int]]
+) -> np.ndarray:
+    """Restricted CDP solved independently on every zone, in one row loop.
+
+    ``zones`` are ``(block_lo, block_hi, rank_lo, rank_hi)`` half-open
+    ranges with contiguous, ascending rank ranges (the output of
+    :func:`repro.core.chunked.zone_ranges`).  Returns the per-rank
+    counts of all zones, concatenated; each zone's counts equal
+    ``cdp_restricted(costs[block_lo:block_hi], rank_hi - rank_lo)``
+    float for float.
+
+    A zone with ``n`` blocks on ``r`` ranks has ``f, e = divmod(n, r)``;
+    ``e == 0`` leaves one legal split.  Otherwise the DP state after
+    ``k`` ranks is ``j``, the number of ceil segments used so far, so
+    rank ``k`` starts at block ``k*f + j`` and the state vector has
+    ``e + 1`` entries.  All such zones advance together in a
+    ``(zones, max e + 1)`` state, right-aligned so that every zone ends
+    on the last row: a zone with fewer ranks starts later, and its
+    leading rows carry a floor segment of ``-inf`` and a ceil segment of
+    ``+inf``, which leave its state unchanged.  Each row costs four
+    ufunc calls (floor candidate, ceil candidate, strict ``ceil < floor``
+    tie-break, select), so the interpreter work is ``O(max r)`` however
+    many zones run; the arithmetic is ``O(zones * max r * max e)``.
+    Zones are batched so that no batch's tables outgrow
+    :data:`_BATCH_BYTES` (a zone too large on its own runs alone).
+
+    No feasibility mask is applied: every predecessor of a state that can
+    still reach ``j = e`` can too, and states with ``j > k`` stay
+    ``inf``, so the optimal path and its choices are those of the masked
+    DP.  Columns past a zone's own ``e`` are never read back.
+    """
+    parts = []
+    solve = []  # (part index, block_lo, n, r, f, e) of zones that need the DP
+    for a, b, lo, hi in zones:
+        r = hi - lo
+        f, e = divmod(b - a, r)
+        if e:
+            solve.append((len(parts), a, b - a, r, f, e))
+        parts.append(np.full(r, f, dtype=np.int64))
+    for batch in _batches(solve):
+        for (i, *_), counts in zip(batch, _restricted_dp(costs, batch)):
+            parts[i] = counts
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+#: rows of segment table built at a time (bounds the float tables' memory)
+_TABLE_ROWS = 64
+#: memory bound of one batch of zones: choice table plus segment tables
+_BATCH_BYTES = 16 << 20
+
+
+def _batches(zones: list):
+    """Split DP zones, in order, into batches within :data:`_BATCH_BYTES`.
+
+    A batch of ``z`` zones runs ``max r`` rows over ``z * (max e + 1)``
+    states: one byte per state and row of choice table, plus two float
+    segment tables of :data:`_TABLE_ROWS` rows.
+    """
+    batch, rows, width = [], 0, 0
+    for zone in zones:
+        r, w = max(rows, zone[3]), max(width, zone[5] + 1)
+        if batch and (r + 16 * _TABLE_ROWS) * w * (len(batch) + 1) > _BATCH_BYTES:
+            yield batch
+            batch, r, w = [], zone[3], zone[5] + 1
+        batch.append(zone)
+        rows, width = r, w
+    if batch:
+        yield batch
+
+
+def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
+    """Counts of each ``(_, block_lo, n, r, f, e)`` zone with ``e > 0``."""
+    n_z = len(zones)
+    ranks = [z[3] for z in zones]
+    floors = np.asarray([z[4] for z in zones], dtype=np.int64)
+    extras = np.asarray([z[5] for z in zones], dtype=np.int64)
+    rows, width = max(ranks), int(extras.max()) + 1
+    # Per zone, rank-by-state views over its own prefix sum (slicing a
+    # global one rounds differently): segment start, floor end, ceil end.
+    # The prefix tail is padded with its last value so that the columns
+    # past the zone's own e stay finite.
+    views = []
+    for _, a, n, r, f, _e in zones:
+        p = np.empty(r * f + width, dtype=np.float64)
+        p[0] = 0.0
+        np.cumsum(costs[a:a + n], dtype=np.float64, out=p[1:n + 1])
+        p[n + 1:] = p[n]
+        strides = (f * p.strides[0], p.strides[0])
+        views.append((
+            as_strided(p, (r, width), strides),
+            as_strided(p[f:], (r, width), strides),
+            as_strided(p[f + 1:], (r, width - 1), strides),
+        ))
+
+    dp = np.full((n_z, width), np.inf)
+    dp[:, 0] = 0.0
+    cand_f = np.empty_like(dp)
+    cand_c = np.full_like(dp, np.inf)
+    choice = np.empty((rows, n_z, width), dtype=bool)
+    seg_f = np.empty((min(rows, _TABLE_ROWS), n_z, width))
+    seg_c = np.empty((min(rows, _TABLE_ROWS), n_z, width - 1))
+    for t0 in range(0, rows, _TABLE_ROWS):
+        h = min(_TABLE_ROWS, rows - t0)
+        # seg_f[t, z, j] / seg_c[t, z, j]: floor segment of rank t from
+        # state j, ceil segment of rank t from state j into j + 1.
+        for z, (start, end_f, end_c) in enumerate(views):
+            u = t0 - (rows - ranks[z])  # zone-local rank of row t0
+            pad = min(max(-u, 0), h)  # rows before the zone's first rank
+            seg_f[:pad, z] = -np.inf
+            seg_c[:pad, z] = np.inf
+            u0, u1 = u + pad, u + h
+            np.subtract(end_f[u0:u1], start[u0:u1], out=seg_f[pad:h, z])
+            np.subtract(end_c[u0:u1], start[u0:u1, :-1], out=seg_c[pad:h, z])
+        for t in range(h):
+            took_ceil = choice[t0 + t]
+            np.maximum(dp, seg_f[t], out=cand_f)
+            np.maximum(dp[:, :-1], seg_c[t], out=cand_c[:, 1:])
+            np.less(cand_c, cand_f, out=took_ceil)
+            np.copyto(cand_f, cand_c, where=took_ceil)
+            dp, cand_f = cand_f, dp
+
+    # Backtrack every zone at once from its final state j = e.
+    counts = np.empty((rows, n_z), dtype=np.int64)
+    j = extras.copy()
+    z_idx = np.arange(n_z)
+    for t in range(rows - 1, -1, -1):
+        took_ceil = choice[t, z_idx, j]
+        np.add(floors, took_ceil, out=counts[t])
+        j -= took_ceil
+    assert not j.any(), "CDP reconstruction failed"
+    return [counts[rows - r:, z] for z, r in enumerate(ranks)]
 
 
 def cdp_full(costs: np.ndarray, n_ranks: int) -> np.ndarray:

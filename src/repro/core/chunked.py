@@ -9,6 +9,16 @@ contiguous subset of ranks, and solve CDP independently per chunk
 intermediate stage, where the loss is immaterial.  The decomposition
 (:func:`zone_ranges`) is the one zonal placement (:mod:`repro.core.zonal`)
 runs any inner policy on; chunked CDP is zonal CDP.
+
+The chunks' DPs are independent, so :func:`chunked_cdp_counts` runs them
+together rather than one after another: a single
+:func:`~repro.core.cdp.cdp_restricted_zones` call whose row loop has one
+row per rank of the largest chunk (``ranks_per_chunk``, give or take
+the apportionment) whatever the number of chunks.  Work is
+``O(r · e_max)`` arithmetic for ``r`` ranks, with ``e_max`` the largest
+per-chunk ``n mod r``, and ``O(ranks_per_chunk)`` interpreter steps;
+every chunk's counts equal a lone :func:`~repro.core.cdp.cdp_restricted`
+call on it.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .baseline import assignment_from_counts
-from .cdp import cdp_restricted
+from .cdp import cdp_restricted_zones
 from .context import PlacementContext
 from .policy import PlacementPolicy, register_policy
 
@@ -110,12 +120,10 @@ def chunked_cdp_counts(
     """Per-rank contiguous counts from per-chunk restricted CDP.
 
     ``ranks_per_chunk`` is the chunk granularity in ranks (the paper
-    uses 512); chunks are the zones of :func:`zone_ranges`.
+    uses 512); chunks are the zones of :func:`zone_ranges`, all solved
+    in one :func:`~repro.core.cdp.cdp_restricted_zones` call.
     """
-    return np.concatenate([
-        cdp_restricted(costs[a:b], hi - lo)
-        for a, b, lo, hi in zone_ranges(costs, n_ranks, ranks_per_chunk)
-    ])
+    return cdp_restricted_zones(costs, zone_ranges(costs, n_ranks, ranks_per_chunk))
 
 
 @register_policy("cdp-chunked")

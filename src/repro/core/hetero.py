@@ -72,33 +72,33 @@ def hetero_lpt_assign(
     if initial_loads is None:
         loads = np.zeros(n_ranks, dtype=np.float64)
     else:
-        loads = np.asarray(initial_loads, dtype=np.float64).copy()
+        loads = np.asarray(initial_loads, dtype=np.float64)
         if loads.shape != (n_ranks,):
             raise ValueError(f"initial_loads shape {loads.shape} != ({n_ranks},)")
     # One (load, rank) heap per distinct speed; heap top is the class's
     # earliest-finishing candidate (monotone in load at fixed speed).
-    class_speeds = np.unique(speeds)
-    heaps = {}
-    for s in class_speeds:
-        s = float(s)
-        heaps[s] = [(float(loads[r]), int(r)) for r in np.nonzero(speeds == s)[0]]
-        heapq.heapify(heaps[s])
+    load_of = loads.tolist()
+    heaps = []
+    for s in np.unique(speeds).tolist():
+        heap = [(load_of[r], r) for r in np.nonzero(speeds == s)[0].tolist()]
+        heapq.heapify(heap)
+        heaps.append((s, heap))
     order = np.argsort(-costs, kind="stable")
-    assignment = np.empty(n, dtype=np.int64)
-    for bid in order:
-        c = float(costs[bid])
+    cost = costs.tolist()
+    assignment = [0] * n
+    for bid in order.tolist():
+        c = cost[bid]
         best_key = None
-        best_speed = None
-        for s, heap in heaps.items():
+        for s, heap in heaps:
             load, rank = heap[0]
             key = ((load + c) / s, rank)
             if best_key is None or key < best_key:
                 best_key = key
-                best_speed = s
-        load, rank = heapq.heappop(heaps[best_speed])
+                best_heap = heap
+        load, rank = best_heap[0]
         assignment[bid] = rank
-        heapq.heappush(heaps[best_speed], (load + c, rank))
-    return assignment
+        heapq.heapreplace(best_heap, (load + c, rank))
+    return np.array(assignment, dtype=np.int64)
 
 
 def capacity_contiguous_counts(costs: np.ndarray, speeds: np.ndarray) -> np.ndarray:
