@@ -17,6 +17,13 @@ from typing import Optional
 import numpy as np
 
 from ..mesh.geometry import BlockIndex
+from ..mesh.sfc import (
+    as_block_keys,
+    block_keys,
+    key_levels,
+    key_parents,
+    unpack_block_keys,
+)
 
 __all__ = ["MeshBlock", "BlockCostTracker"]
 
@@ -62,7 +69,12 @@ class BlockCostTracker:
 
     Block identity follows the :class:`BlockIndex` (stable across
     redistributions and SFC renumbering); refined children inherit the
-    parent's estimate as their prior.
+    parent's estimate as their prior.  Estimates are stored as two
+    arrays, packed block keys (:func:`~repro.mesh.sfc.pack_block_keys`)
+    in ascending order and their values, so the per-epoch calls are
+    ``searchsorted`` joins.  ``observe_all``, ``estimates`` and
+    ``forget_except`` take either key arrays or :class:`BlockIndex`
+    sequences; ``state``/``load_state`` speak :class:`BlockIndex`.
     """
 
     def __init__(self, alpha: float = 0.5, default_cost: float = 1.0) -> None:
@@ -70,21 +82,52 @@ class BlockCostTracker:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self.default_cost = default_cost
-        self._est: dict[BlockIndex, float] = {}
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.float64)
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(found mask, position) of each key in the stored keys."""
+        pos = np.searchsorted(self._keys, keys)
+        if self._keys.shape[0] == 0:
+            return np.zeros(keys.shape[0], dtype=bool), pos
+        pos_c = np.minimum(pos, self._keys.shape[0] - 1)
+        return self._keys[pos_c] == keys, pos
+
+    def _merge(self, keys: np.ndarray, measured: np.ndarray) -> None:
+        """EWMA-update distinct ``keys`` (ascending); insert new ones."""
+        found, pos = self._find(keys)
+        at = pos[found]
+        self._vals[at] = (1 - self.alpha) * self._vals[at] + self.alpha * measured[found]
+        new = ~found
+        if new.any():
+            self._keys = np.insert(self._keys, pos[new], keys[new])
+            self._vals = np.insert(self._vals, pos[new], measured[new])
 
     def observe(self, index: BlockIndex, measured_cost: float) -> None:
         """Fold one measured kernel time into the estimate."""
-        if measured_cost < 0:
-            raise ValueError("measured cost must be >= 0")
-        prev = self._est.get(index)
-        if prev is None:
-            self._est[index] = measured_cost
-        else:
-            self._est[index] = (1 - self.alpha) * prev + self.alpha * measured_cost
+        self.observe_all([index], np.asarray([measured_cost], dtype=np.float64))
 
-    def observe_all(self, indices: list[BlockIndex], measured: np.ndarray) -> None:
-        for idx, m in zip(indices, np.asarray(measured, dtype=np.float64)):
-            self.observe(idx, float(m))
+    def observe_all(self, indices, measured: np.ndarray) -> None:
+        """Fold one measurement per block (keys or :class:`BlockIndex`).
+
+        A block listed several times is folded once per occurrence, in
+        order.
+        """
+        keys = as_block_keys(indices)
+        measured = np.asarray(measured, dtype=np.float64)
+        if measured.shape != keys.shape:
+            raise ValueError(
+                f"{keys.shape[0]} blocks but {measured.shape} measurements"
+            )
+        if (measured < 0).any():
+            raise ValueError("measured cost must be >= 0")
+        order = np.argsort(keys, kind="stable")
+        keys, measured = keys[order], measured[order]
+        if (keys[1:] == keys[:-1]).any():
+            for i in range(keys.shape[0]):      # repeats fold one at a time
+                self._merge(keys[i:i + 1], measured[i:i + 1])
+        else:
+            self._merge(keys, measured)
 
     def estimate(self, index: BlockIndex) -> float:
         """Current cost estimate; falls back to ancestors then default.
@@ -92,31 +135,38 @@ class BlockCostTracker:
         A freshly refined block has no history — its parent's estimate is
         the best available prior (same region, same physics).
         """
-        est = self._est.get(index)
-        if est is not None:
-            return est
-        probe = index
-        while probe.level > 0:
-            probe = probe.parent()
-            est = self._est.get(probe)
-            if est is not None:
-                return est
-        return self.default_cost
+        return float(self.estimates([index])[0])
 
-    def estimates(self, indices: list[BlockIndex]) -> np.ndarray:
-        return np.asarray([self.estimate(i) for i in indices], dtype=np.float64)
+    def estimates(self, indices) -> np.ndarray:
+        """Estimates per block (keys or :class:`BlockIndex`), each from the
+        block itself, else its nearest observed ancestor, else the default."""
+        keys = as_block_keys(indices)
+        out = np.full(keys.shape[0], self.default_cost, dtype=np.float64)
+        todo = np.arange(keys.shape[0])
+        probe = keys
+        while todo.shape[0]:
+            found, pos = self._find(probe)
+            out[todo[found]] = self._vals[pos[found]]
+            rest = ~found & (key_levels(probe) > 0)
+            todo = todo[rest]
+            probe = key_parents(probe[rest])
+        return out
 
     def state(self) -> dict[BlockIndex, float]:
         """Copy of the estimate table, for checkpointing."""
-        return dict(self._est)
+        return dict(zip(unpack_block_keys(self._keys), self._vals.tolist()))
 
     def load_state(self, estimates: dict[BlockIndex, float]) -> None:
         """Replace the estimate table from a checkpoint."""
-        self._est = dict(estimates)
+        keys = block_keys(estimates)
+        vals = np.fromiter(estimates.values(), dtype=np.float64, count=len(estimates))
+        order = np.argsort(keys)
+        self._keys, self._vals = keys[order], vals[order]
 
-    def forget_except(self, live: set[BlockIndex]) -> None:
+    def forget_except(self, live) -> None:
         """Drop estimates for blocks no longer in the mesh (bounded memory)."""
-        self._est = {k: v for k, v in self._est.items() if k in live}
+        keep = np.isin(self._keys, as_block_keys(live))
+        self._keys, self._vals = self._keys[keep], self._vals[keep]
 
     def __len__(self) -> int:
-        return len(self._est)
+        return int(self._keys.shape[0])

@@ -23,6 +23,7 @@ import numpy as np
 from ..mesh.geometry import RootGrid
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
+from ..mesh.sfc import pack_block_keys
 from .sedov import SedovEpoch
 
 __all__ = ["CoolingConfig", "CoolingWorkload"]
@@ -123,6 +124,7 @@ class CoolingWorkload:
         total = cfg.t_total if max_steps is None else min(max_steps, cfg.t_total)
         mesh = self._build_mesh()
         blocks = list(mesh.blocks)
+        keys = pack_block_keys(*mesh._geometry())
         graph = mesh.neighbor_graph
         step = 0
         idx = 0
@@ -137,6 +139,7 @@ class CoolingWorkload:
                 base_costs=self._costs(mesh, step / max(total, 1)),
                 n_refined=0,
                 n_coarsened=0,
+                keys=keys,
             )
             step += n
             idx += 1

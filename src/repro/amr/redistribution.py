@@ -16,13 +16,13 @@ that shows up as the ``lb`` phase (~3% in Fig. 6a).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.context import PlacementContext
 from ..core.policy import PlacementPolicy, PlacementResult
-from ..mesh.geometry import BlockIndex
+from ..mesh.sfc import as_block_keys, key_first_children, key_levels, key_parents
 from ..simnet.machine import FabricSpec
 
 __all__ = [
@@ -57,9 +57,9 @@ class RedistributionOutcome:
 
 
 def carry_assignment(
-    old_blocks: List[BlockIndex],
+    old_blocks,
     old_assignment: np.ndarray,
-    new_blocks: List[BlockIndex],
+    new_blocks,
 ) -> np.ndarray:
     """Project an assignment across a remesh for migration accounting.
 
@@ -68,19 +68,38 @@ def carry_assignment(
     (Parthenon keeps data where it was until redistribution moves it).
     Blocks with no identifiable predecessor get rank -1 (freshly created;
     their move is not charged as migration).
+
+    Blocks are packed key arrays or :class:`BlockIndex` sequences; the
+    three lookups are ``searchsorted`` joins on the old keys.
     """
-    owner: Dict[BlockIndex, int] = {
-        b: int(r) for b, r in zip(old_blocks, old_assignment)
-    }
-    out = np.full(len(new_blocks), -1, dtype=np.int64)
-    for i, b in enumerate(new_blocks):
-        r = owner.get(b)
-        if r is None and b.level > 0:
-            r = owner.get(b.parent())          # b is a refined child
-        if r is None:
-            r = owner.get(b.children()[0]) if b.level >= 0 else None  # merged parent
-        if r is not None:
-            out[i] = r
+    old_keys = as_block_keys(old_blocks)
+    new_keys = as_block_keys(new_blocks)
+    owner = np.asarray(old_assignment, dtype=np.int64)
+    if owner.shape != old_keys.shape:
+        raise ValueError("old_assignment must give one rank per old block")
+    order = np.argsort(old_keys, kind="stable")
+    keys, owner = old_keys[order], owner[order]
+    last = np.ones(keys.shape[0], dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]      # a repeated block: last one wins
+    keys, owner = keys[last], owner[last]
+
+    out = np.full(new_keys.shape[0], -1, dtype=np.int64)
+    if keys.shape[0] == 0:
+        return out
+
+    def join(sel: np.ndarray, probe: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(keys, probe), keys.shape[0] - 1)
+        found = keys[pos] == probe
+        out[sel[found]] = owner[pos[found]]
+        return sel[~found]
+
+    rest = join(np.arange(new_keys.shape[0]), new_keys)     # same block
+    refined = key_levels(new_keys[rest]) > 0
+    rest = np.concatenate([                                  # refined child
+        join(rest[refined], key_parents(new_keys[rest[refined]])),
+        rest[~refined],
+    ])
+    join(rest, key_first_children(new_keys[rest]))          # merged parent
     return out
 
 

@@ -25,6 +25,7 @@ from ..mesh.geometry import BlockIndex, RootGrid
 from ..mesh.mesh import AmrMesh
 from ..mesh.neighbors import NeighborGraph
 from ..mesh.refinement import RefinementTags
+from ..mesh.sfc import pack_block_keys
 
 __all__ = [
     "SedovConfig",
@@ -168,6 +169,9 @@ class SedovEpoch:
 
     Placement, neighbor structure, and base costs are fixed within an
     epoch; the driver simulates its ``n_steps`` steps with noise only.
+    ``keys`` are the blocks' packed keys
+    (:func:`~repro.mesh.sfc.pack_block_keys`), the identity the engine's
+    cost tracker and remesh carry join on.
     """
 
     index: int
@@ -178,6 +182,7 @@ class SedovEpoch:
     base_costs: np.ndarray       #: true per-block kernel cost this epoch
     n_refined: int
     n_coarsened: int
+    keys: np.ndarray
 
 
 class SedovWorkload:
@@ -298,6 +303,7 @@ class SedovWorkload:
             base_costs = self._epoch_costs(mesh, r)
             epoch_start = step
             blocks = list(mesh.blocks)
+            keys = pack_block_keys(*mesh._geometry())
             graph = mesh.neighbor_graph
             # Advance until the next mesh change, the epoch-length cap, or
             # the end of the run.
@@ -325,6 +331,7 @@ class SedovWorkload:
                 base_costs=base_costs,
                 n_refined=n_ref,
                 n_coarsened=n_coarse,
+                keys=keys,
             )
             epoch_idx += 1
             step = probe

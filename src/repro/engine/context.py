@@ -70,7 +70,8 @@ class EngineContext:
 
     # -- loop position and remesh carry -----------------------------------
     cursor: int = 0                       #: index of the epoch being run
-    prev_blocks: Optional[list] = None
+    #: packed keys of the previous epoch's blocks (the carry's old side)
+    prev_keys: Optional[np.ndarray] = None
     prev_assignment: Optional[np.ndarray] = None
 
     # -- run accumulators --------------------------------------------------

@@ -180,16 +180,16 @@ class EpochEngine:
                 config.cost_measurement_sigma,
                 size=epoch.base_costs.shape[0],
             )
-            ctx.tracker.observe_all(epoch.blocks, measured)
+            ctx.tracker.observe_all(epoch.keys, measured)
             if config.use_measured_costs:
-                ctx.policy_costs = ctx.tracker.estimates(epoch.blocks)
+                ctx.policy_costs = ctx.tracker.estimates(epoch.keys)
             else:
                 ctx.policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
 
             # --- redistribution on the current (surviving) cluster ------
-            if ctx.prev_blocks is not None:
+            if ctx.prev_keys is not None:
                 ctx.carried = carry_assignment(
-                    ctx.prev_blocks, ctx.prev_assignment, epoch.blocks
+                    ctx.prev_keys, ctx.prev_assignment, epoch.keys
                 )
             else:
                 ctx.carried = None
@@ -270,7 +270,7 @@ class EpochEngine:
             ctx.wall += ctx.epoch_wall
             ctx.total_steps += epoch.n_steps
             ctx.final_blocks = len(epoch.blocks)
-            ctx.prev_blocks = epoch.blocks
+            ctx.prev_keys = epoch.keys
             ctx.prev_assignment = assignment
 
             # --- epoch boundary: telemetry, crash, mitigation, ckpt -----

@@ -18,11 +18,11 @@ reference builder.  Equivalence against the reference is property-tested.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .geometry import RootGrid
+from .geometry import BlockIndex, RootGrid
 from .neighbors import NeighborGraph, _directions, build_neighbor_graph
 from .octree import OctreeForest
 from .sfc import morton_encode
@@ -68,14 +68,24 @@ def _facing_child_offsets(d: Tuple[int, ...]) -> np.ndarray:
     return np.unique(np.stack(combos), axis=0)
 
 
-def build_neighbor_graph_fast(forest: OctreeForest) -> NeighborGraph:
+def build_neighbor_graph_fast(
+    forest: OctreeForest,
+    blocks: Optional[List[BlockIndex]] = None,
+    geometry: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> NeighborGraph:
     """Build the neighbor graph of a 2:1-balanced forest, vectorized.
+
+    ``blocks`` (the forest's leaves in SFC order) and ``geometry`` (their
+    ``(coords, levels)`` arrays) may be passed by a caller that already
+    holds them, such as :class:`~repro.mesh.mesh.AmrMesh`'s caches;
+    otherwise they are derived from the forest.
 
     Raises :class:`UnbalancedForestError` if any in-domain probe cannot
     be resolved at levels ``L-1 / L / L+1`` — the signature of a forest
     deeper than 2:1 balance allows.
     """
-    blocks = forest.leaves_dfs()
+    if blocks is None:
+        blocks = forest.leaves_dfs()
     n = len(blocks)
     root = forest.root
     dim = forest.dim
@@ -83,8 +93,11 @@ def build_neighbor_graph_fast(forest: OctreeForest) -> NeighborGraph:
         return NeighborGraph(blocks, np.empty((0, 2), dtype=np.int64),
                              np.empty(0, dtype=np.int8))
 
-    coords = np.asarray([b.coords for b in blocks], dtype=np.int64)
-    levels = np.asarray([b.level for b in blocks], dtype=np.int64)
+    if geometry is None:
+        coords = np.asarray([b.coords for b in blocks], dtype=np.int64)
+        levels = np.asarray([b.level for b in blocks], dtype=np.int64)
+    else:
+        coords, levels = geometry
 
     # Per-level sorted Morton code tables for membership lookups.
     level_codes: Dict[int, np.ndarray] = {}
@@ -191,14 +204,19 @@ def build_neighbor_graph_fast(forest: OctreeForest) -> NeighborGraph:
     return NeighborGraph(blocks, edges, uniq_kind.astype(np.int8))
 
 
-def build_neighbor_graph_auto(forest: OctreeForest) -> NeighborGraph:
+def build_neighbor_graph_auto(
+    forest: OctreeForest,
+    blocks: Optional[List[BlockIndex]] = None,
+    geometry: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> NeighborGraph:
     """Fast builder with automatic fallback to the reference.
 
     Production meshes are 2:1 balanced and take the vectorized path;
     hand-built unbalanced forests (tests, experiments) transparently use
-    the per-block reference implementation.
+    the per-block reference implementation.  ``blocks`` and
+    ``geometry`` are forwarded to :func:`build_neighbor_graph_fast`.
     """
     try:
-        return build_neighbor_graph_fast(forest)
+        return build_neighbor_graph_fast(forest, blocks, geometry)
     except UnbalancedForestError:
         return build_neighbor_graph(forest)

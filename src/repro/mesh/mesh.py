@@ -91,10 +91,14 @@ class AmrMesh:
         """Neighbor graph over SFC-ordered blocks; cached.
 
         Uses the vectorized builder (2:1-balanced fast path) with
-        automatic fallback to the reference implementation.
+        automatic fallback to the reference implementation, fed the
+        cached leaves and geometry arrays so the forest is walked once
+        per mesh generation.
         """
         if self._graph is None:
-            self._graph = build_neighbor_graph_auto(self.forest)
+            self._graph = build_neighbor_graph_auto(
+                self.forest, self.blocks, self._geometry()
+            )
         return self._graph
 
     def block_id(self, idx: BlockIndex) -> int:

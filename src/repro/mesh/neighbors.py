@@ -162,6 +162,7 @@ class NeighborGraph:
         self.kinds = kinds
         self.n_blocks = len(blocks)
         self._adj: List[List[int]] | None = None
+        self._weights: Dict[tuple, np.ndarray] = {}
 
     @property
     def n_edges(self) -> int:
@@ -186,11 +187,20 @@ class NeighborGraph:
         return deg
 
     def edge_weights(self, weights_by_kind: Dict[NeighborKind, float]) -> np.ndarray:
-        """Map per-edge kinds to communication volumes (bytes/messages)."""
-        lut = np.zeros(int(max(NeighborKind)) + 1, dtype=np.float64)
-        for k, w in weights_by_kind.items():
-            lut[int(k)] = w
-        return lut[self.kinds]
+        """Map per-edge kinds to communication volumes (bytes/messages).
+
+        Cached per distinct weight table; the returned array is read-only.
+        """
+        key = tuple(sorted((int(k), float(w)) for k, w in weights_by_kind.items()))
+        w = self._weights.get(key)
+        if w is None:
+            lut = np.zeros(int(max(NeighborKind)) + 1, dtype=np.float64)
+            for k, wt in key:
+                lut[k] = wt
+            w = lut[self.kinds]
+            w.setflags(write=False)
+            self._weights[key] = w
+        return w
 
     def to_networkx(self, weights_by_kind: Dict[NeighborKind, float] | None = None):
         """Export as a ``networkx.Graph`` for external analysis.

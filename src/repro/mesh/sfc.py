@@ -9,6 +9,14 @@ This module provides vectorized Morton (Z-order) encode/decode for 1–3
 dimensions plus a comparison key that orders blocks of *mixed refinement
 levels* along the same curve — the key property that makes the octree DFS
 order and the Morton order agree.
+
+It also packs each block into one self-describing int64 *block key*
+(dim and level in the high bits, the Morton code of the block's own
+coordinates below), the compact integer identity that per-epoch array
+code joins on: a parent key is the code shifted right by ``dim``, a
+first-child key the code shifted left, and a key decodes back to its
+:class:`BlockIndex` with no other input.  Key order is (dim, level,
+Morton code), not SFC order.
 """
 
 from __future__ import annotations
@@ -25,12 +33,33 @@ __all__ = [
     "morton_key",
     "sfc_sort_blocks",
     "contiguous_ranges",
+    "pack_block_keys",
+    "block_keys",
+    "block_key",
+    "as_block_keys",
+    "unpack_block_keys",
+    "key_levels",
+    "key_parents",
+    "key_first_children",
 ]
 
 # Number of bits supported per dimension.  21 bits x 3 dims = 63 bits fits
 # in a signed 64-bit integer, which covers meshes up to 2^21 blocks per
 # side -- far beyond the paper's 256^3-cell configurations.
 _MAX_BITS = 21
+
+
+# Block-key layout (int64, sign bit clear): dim in bits 61-62, level in
+# bits 56-60, the Morton code of the block's own coordinates in bits 0-55.
+_KEY_DIM_SHIFT = 61
+_KEY_LEVEL_SHIFT = 56
+_KEY_MAX_LEVEL = 31
+_KEY_CODE_MASK = (1 << _KEY_LEVEL_SHIFT) - 1
+# Coordinate bits per dimension a key holds, indexed by dim: 21 (1-d and
+# 2-d, the Morton encoder's limit) and 18 (3-d, 54 code bits).
+_KEY_COORD_BITS = (0, 21, 21, 18)
+# Morton-code bits per key, indexed by dim.
+_KEY_CODE_BITS = np.array([d * b for d, b in enumerate(_KEY_COORD_BITS)], dtype=np.int64)
 
 
 def _part_bits(x: np.ndarray, dim: int) -> np.ndarray:
@@ -162,6 +191,119 @@ def sfc_sort_blocks(blocks: Iterable[BlockIndex]) -> List[BlockIndex]:
     codes = morton_encode(scaled)
     order = np.lexsort((levels, codes))
     return [blocks[i] for i in order]
+
+
+def pack_block_keys(coords: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Packed int64 keys of blocks given as ``(n, dim)`` coords and levels.
+
+    Raises ``ValueError`` when a level exceeds 31 or a coordinate
+    exceeds the key's per-dimension budget (2^21 in 1-d and 2-d, 2^18
+    in 3-d) — such a block has no key.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    levels = np.asarray(levels, dtype=np.int64)
+    if coords.ndim != 2 or not 1 <= coords.shape[1] <= 3:
+        raise ValueError(f"coords must be (n, dim) with dim 1..3, got {coords.shape}")
+    dim = coords.shape[1]
+    if levels.shape != (coords.shape[0],):
+        raise ValueError("levels must give one level per block")
+    if coords.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    if levels.min() < 0 or levels.max() > _KEY_MAX_LEVEL:
+        raise ValueError(f"block levels must be in [0, {_KEY_MAX_LEVEL}] to have a key")
+    if coords.min() < 0 or coords.max() >= (1 << _KEY_COORD_BITS[dim]):
+        raise ValueError(
+            f"{dim}-d block coordinates must be in [0, 2^{_KEY_COORD_BITS[dim]}) "
+            "to have a key"
+        )
+    code = morton_encode(coords).astype(np.int64)
+    return (
+        (np.int64(dim) << np.int64(_KEY_DIM_SHIFT))
+        | (levels << np.int64(_KEY_LEVEL_SHIFT))
+        | code
+    )
+
+
+def block_keys(blocks: Iterable[BlockIndex]) -> np.ndarray:
+    """Packed keys of a sequence of blocks (any mix of dims), in order."""
+    blocks = list(blocks)
+    dims = np.asarray([len(b.coords) for b in blocks], dtype=np.int64)
+    levels = np.asarray([b.level for b in blocks], dtype=np.int64)
+    out = np.empty(len(blocks), dtype=np.int64)
+    for dim in np.unique(dims).tolist():
+        sel = np.nonzero(dims == dim)[0]
+        coords = np.asarray(
+            [blocks[i].coords for i in sel.tolist()], dtype=np.int64
+        ).reshape(sel.shape[0], dim)
+        out[sel] = pack_block_keys(coords, levels[sel])
+    return out
+
+
+def block_key(idx: BlockIndex) -> int:
+    """Packed key of one block."""
+    return int(block_keys([idx])[0])
+
+
+def as_block_keys(blocks) -> np.ndarray:
+    """Keys of ``blocks``: an int array is taken as packed keys, any
+    other iterable of :class:`BlockIndex` is packed."""
+    if isinstance(blocks, np.ndarray):
+        return blocks.astype(np.int64, copy=False)
+    return block_keys(blocks)
+
+
+def _key_fields(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    keys = np.asarray(keys, dtype=np.int64)
+    dims = keys >> np.int64(_KEY_DIM_SHIFT)
+    if keys.size and (dims.min() < 1 or dims.max() > 3):
+        raise ValueError("not a block key: dim field outside 1..3")
+    levels = (keys >> np.int64(_KEY_LEVEL_SHIFT)) & np.int64(_KEY_MAX_LEVEL)
+    return dims, levels, keys & np.int64(_KEY_CODE_MASK)
+
+
+def unpack_block_keys(keys: np.ndarray) -> List[BlockIndex]:
+    """Decode packed keys back to their :class:`BlockIndex` values."""
+    dims, levels, codes = _key_fields(keys)
+    out: List[BlockIndex] = [None] * dims.shape[0]  # type: ignore[list-item]
+    for dim in np.unique(dims).tolist():
+        sel = np.nonzero(dims == dim)[0]
+        coords = morton_decode(codes[sel], dim).tolist()
+        for i, level, c in zip(sel.tolist(), levels[sel].tolist(), coords):
+            out[i] = BlockIndex(level, tuple(c))
+    return out
+
+
+def key_levels(keys: np.ndarray) -> np.ndarray:
+    """Refinement level of each packed key."""
+    return _key_fields(keys)[1]
+
+
+def key_parents(keys: np.ndarray) -> np.ndarray:
+    """Parent key of each key (``-1`` for level-0 keys, which have none)."""
+    dims, levels, codes = _key_fields(keys)
+    parents = (
+        (dims << np.int64(_KEY_DIM_SHIFT))
+        | ((levels - 1) << np.int64(_KEY_LEVEL_SHIFT))
+        | (codes >> dims)
+    )
+    return np.where(levels > 0, parents, np.int64(-1))
+
+
+def key_first_children(keys: np.ndarray) -> np.ndarray:
+    """First (Morton child 0) child key of each key.
+
+    ``-1`` where the child would exceed the key's level or coordinate
+    budget; no block has such a child key.
+    """
+    dims, levels, codes = _key_fields(keys)
+    child = codes << dims
+    fits = (levels < _KEY_MAX_LEVEL) & ((child >> _KEY_CODE_BITS[dims]) == 0)
+    children = (
+        (dims << np.int64(_KEY_DIM_SHIFT))
+        | ((levels + 1) << np.int64(_KEY_LEVEL_SHIFT))
+        | child
+    )
+    return np.where(fits, children, np.int64(-1))
 
 
 def contiguous_ranges(assignment: Sequence[int]) -> bool:

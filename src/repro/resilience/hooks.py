@@ -225,11 +225,11 @@ class FaultTimelineHook(EpochHook):
             ctx.n_evictions += len(dead_idx)
             if restored_assignment is not None and i_next > 0:
                 ctx.prev_assignment = remap_assignment(restored_assignment, rank_map)
-                ctx.prev_blocks = ctx.epochs[i_next - 1].blocks
+                ctx.prev_keys = ctx.epochs[i_next - 1].keys
                 lost_blocks = int((ctx.prev_assignment < 0).sum())
             else:
                 ctx.prev_assignment = None
-                ctx.prev_blocks = None
+                ctx.prev_keys = None
             ctx.collector.reconfigure(cur.n_ranks, cur.ranks_per_node)
             ctx.model.reconfigure(cluster=cur)
             evict_cost = self.engine.eviction_cost_s(lost_blocks, config.fabric)
@@ -248,10 +248,10 @@ class FaultTimelineHook(EpochHook):
             ctx.mitigation_s += evict_cost
         elif restored_assignment is not None and i_next > 0:
             ctx.prev_assignment = restored_assignment
-            ctx.prev_blocks = ctx.epochs[i_next - 1].blocks
+            ctx.prev_keys = ctx.epochs[i_next - 1].keys
         else:
             ctx.prev_assignment = None
-            ctx.prev_blocks = None
+            ctx.prev_keys = None
         ctx.cluster = cur
 
         self.engine.record(

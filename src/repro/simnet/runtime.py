@@ -117,27 +117,39 @@ class ExchangePattern:
             ra[~cross], weights=w[~cross], minlength=n_ranks
         ).astype(np.float64)
 
-        # Directed messages: each cross-rank block pair exchanges both ways.
-        src = np.concatenate([ra[cross], rb[cross]])
-        dst = np.concatenate([rb[cross], ra[cross]])
-        size = np.concatenate([w[cross], w[cross]])
-        node_src = src // cluster.ranks_per_node
-        node_dst = dst // cluster.ranks_per_node
-        local = node_src == node_dst
-
-        in_local = np.bincount(dst[local], minlength=n_ranks).astype(np.float64)
-        in_remote = np.bincount(dst[~local], minlength=n_ranks).astype(np.float64)
-        out_remote = np.bincount(src[~local], minlength=n_ranks).astype(np.float64)
+        # Each cross-rank block pair exchanges one message each way, so
+        # the directed message set is symmetric: per-rank in and out
+        # counts are the endpoint counts of the cross edges, and
+        # out_remote equals in_remote.
+        ca, cb, size = ra[cross], rb[cross], w[cross]
+        local = (ca // cluster.ranks_per_node) == (cb // cluster.ranks_per_node)
+        in_local = np.bincount(
+            np.concatenate([ca[local], cb[local]]), minlength=n_ranks
+        ).astype(np.float64)
+        in_remote = np.bincount(
+            np.concatenate([ca[~local], cb[~local]]), minlength=n_ranks
+        ).astype(np.float64)
+        out_remote = in_remote.copy()
 
         # Collapse to unique rank pairs, keeping the largest message per
-        # pair for the critical transport latency.
-        key = src * np.int64(n_ranks) + dst
-        order = np.argsort(key, kind="stable")
-        key_s, size_s = key[order], size[order]
-        uniq, start = np.unique(key_s, return_index=True)
-        max_size = np.maximum.reduceat(size_s, start)
-        p_src = (uniq // n_ranks).astype(np.int64)
-        p_dst = (uniq % n_ranks).astype(np.int64)
+        # pair for the critical transport latency: one sort of the
+        # undirected pair keys, then both directions of each pair in
+        # (src, dst) order.
+        n = np.int64(n_ranks)
+        ukey = np.minimum(ca, cb) * n + np.maximum(ca, cb)
+        order = np.argsort(ukey)
+        ukey, size = ukey[order], size[order]
+        first = np.ones(ukey.shape[0], dtype=bool)
+        first[1:] = ukey[1:] != ukey[:-1]
+        start = np.flatnonzero(first)
+        ukey = ukey[start]
+        umax = np.maximum.reduceat(size, start)
+        key = np.concatenate([ukey, (ukey % n) * n + ukey // n])
+        order = np.argsort(key)
+        key = key[order]
+        max_size = np.concatenate([umax, umax])[order]
+        p_src = key // n
+        p_dst = key % n
         p_local = (p_src // cluster.ranks_per_node) == (p_dst // cluster.ranks_per_node)
         if cluster.node_nic_gbps is not None:
             # Mixed NIC tiers: a cross-node pair's payload bandwidth is

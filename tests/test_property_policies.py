@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -66,32 +66,57 @@ class TestEveryPolicy:
         assert a.shape == (0,)
 
 
+#: Costs on 4 ranks where LPT (``cplx:100``) ends above restricted CDP
+#: (``cplx:0``): makespan 34 against 33 — neither sweep end dominates.
+LPT_ABOVE_CDP = (
+    np.asarray([2, 2, 3, 4, 20, 2, 6, 11, 14, 2, 4, 7, 20, 2, 2, 12, 17], dtype=float),
+    4,
+)
+
+
+def _makespan(name, costs, r):
+    return load_stats(costs, get_policy(name).compute(costs, r), r).makespan
+
+
 class TestCplxSweepInvariants:
     @given(
         st.lists(st.floats(0.01, 20.0), min_size=16, max_size=80).map(np.asarray),
         st.integers(4, 12),
     )
+    @example(*LPT_ABOVE_CDP)
     @settings(max_examples=15)
-    def test_lpt_end_never_worse_than_cdp_end(self, costs, r):
-        m0 = load_stats(
-            costs, get_policy("cplx:0").compute(costs, r), r
-        ).makespan
-        m100 = load_stats(
-            costs, get_policy("cplx:100").compute(costs, r), r
-        ).makespan
-        assert m100 <= m0 + 1e-9
+    def test_lpt_end_within_graham_bound(self, costs, r):
+        # cplx:100 is list scheduling (LPT) over every rank, so Graham's
+        # bound holds: makespan <= sum/r + (1 - 1/r) * max.
+        bound = costs.sum() / r + (1 - 1 / r) * costs.max()
+        assert _makespan("cplx:100", costs, r) <= bound * (1 + 1e-12)
+
+    def test_lpt_end_can_be_worse_than_cdp_end(self):
+        costs, r = LPT_ABOVE_CDP
+        assert _makespan("cplx:0", costs, r) == 33
+        assert _makespan("cplx:100", costs, r) == 34
+        for x in (25, 50, 75):
+            assert _makespan(f"cplx:{x}", costs, r) == 33
 
     @given(
         st.lists(st.floats(0.01, 20.0), min_size=16, max_size=60).map(np.asarray),
         st.integers(4, 10),
         st.floats(0.0, 100.0),
     )
+    @example(*LPT_ABOVE_CDP, 100.0)
     @settings(max_examples=20)
-    def test_every_x_between_endpoints_or_better(self, costs, r, x):
-        mx = load_stats(
-            costs, get_policy(f"cplx:{x}").compute(costs, r), r
-        ).makespan
-        m0 = load_stats(
-            costs, get_policy("cplx:0").compute(costs, r), r
-        ).makespan
-        assert mx <= m0 + 1e-9  # partial LPT can only improve on CDP
+    def test_every_x_at_or_above_lower_bound(self, costs, r, x):
+        bound = max(costs.max(), costs.sum() / r)
+        assert _makespan(f"cplx:{x}", costs, r) >= bound * (1 - 1e-12)
+
+    @given(
+        st.lists(st.floats(0.0, 20.0), min_size=0, max_size=60).map(np.asarray),
+        st.integers(1, 10),
+    )
+    @example(*LPT_ABOVE_CDP)
+    @settings(max_examples=20)
+    def test_cplx_0_is_chunked_cdp(self, costs, r):
+        assert np.array_equal(
+            get_policy("cplx:0").compute(costs, r),
+            get_policy("cdp-chunked").compute(costs, r),
+        )
