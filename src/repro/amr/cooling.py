@@ -23,7 +23,6 @@ import numpy as np
 from ..mesh.geometry import RootGrid
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
-from ..mesh.sfc import pack_block_keys
 from .sedov import SedovEpoch
 
 __all__ = ["CoolingConfig", "CoolingWorkload"]
@@ -124,7 +123,7 @@ class CoolingWorkload:
         total = cfg.t_total if max_steps is None else min(max_steps, cfg.t_total)
         mesh = self._build_mesh()
         blocks = list(mesh.blocks)
-        keys = pack_block_keys(*mesh._geometry())
+        keys = mesh.keys
         graph = mesh.neighbor_graph
         step = 0
         idx = 0

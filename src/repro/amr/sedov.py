@@ -25,7 +25,6 @@ from ..mesh.geometry import BlockIndex, RootGrid
 from ..mesh.mesh import AmrMesh
 from ..mesh.neighbors import NeighborGraph
 from ..mesh.refinement import RefinementTags
-from ..mesh.sfc import pack_block_keys
 
 __all__ = [
     "SedovConfig",
@@ -303,7 +302,7 @@ class SedovWorkload:
             base_costs = self._epoch_costs(mesh, r)
             epoch_start = step
             blocks = list(mesh.blocks)
-            keys = pack_block_keys(*mesh._geometry())
+            keys = mesh.keys
             graph = mesh.neighbor_graph
             # Advance until the next mesh change, the epoch-length cap, or
             # the end of the run.

@@ -42,7 +42,6 @@ from ..amr.redistribution import (
     commit_redistribution,
     prepare_redistribution,
 )
-from ..core.metrics import message_stats
 from ..core.policy import PlacementPolicy
 from ..perf.cache import PatternCacheStats, shared_cache_handle
 from ..perf.cancel import maybe_token
@@ -238,7 +237,7 @@ class EpochEngine:
             # Service runs look the pattern up in the shared store; hits
             # are bit-identical to the direct computation.
             if ctx.pattern_cache is not None:
-                ctx.pattern, ms = ctx.pattern_cache.lookup(
+                ctx.pattern = ctx.pattern_cache.lookup(
                     epoch.graph, assignment, epoch.base_costs, ctx.cluster,
                     config.fabric,
                 )
@@ -247,11 +246,9 @@ class EpochEngine:
                     epoch.graph, assignment, epoch.base_costs, ctx.cluster,
                     config.fabric,
                 )
-                ms = message_stats(
-                    epoch.graph, assignment, ctx.cluster.ranks_per_node
-                )
             ctx.msg_acc += (
-                np.array([ms.intra_rank, ms.local, ms.remote]) * epoch.n_steps
+                np.array(ctx.pattern.message_counts(epoch.graph.n_edges))
+                * epoch.n_steps
             )
             k = min(epoch.n_steps, config.samples_per_epoch)
             ctx.sample_count = k

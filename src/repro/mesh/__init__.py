@@ -6,20 +6,13 @@ Z-order SFC block IDs via depth-first traversal, cross-level
 face/edge/vertex neighbor discovery, and 2:1-balanced refinement.
 """
 
-from .fast_neighbors import build_neighbor_graph_auto, build_neighbor_graph_fast
+from .fast_neighbors import build_neighbor_graph_fast
 from .geometry import BlockIndex, RootGrid, block_bounds, child_offsets
 from .hilbert import hilbert_encode, hilbert_key, hilbert_sort_blocks
 from .mesh import AmrMesh
-from .neighbors import NeighborGraph, NeighborKind, build_neighbor_graph, find_neighbors
+from .neighbors import NeighborGraph, NeighborKind
 from .octree import OctreeForest
-from .refinement import (
-    RefinementTags,
-    RemeshDelta,
-    apply_tags,
-    enforce_two_one_balance,
-    is_two_one_balanced,
-    tag_by_predicate,
-)
+from .refinement import RefinementTags, RemeshDelta, apply_tags, enforce_two_one_balance
 from .sfc import contiguous_ranges, morton_decode, morton_encode, morton_key, sfc_sort_blocks
 from .sharding import ShardedBlockTable
 
@@ -35,20 +28,15 @@ __all__ = [
     "ShardedBlockTable",
     "apply_tags",
     "block_bounds",
-    "build_neighbor_graph",
-    "build_neighbor_graph_auto",
     "build_neighbor_graph_fast",
     "child_offsets",
     "contiguous_ranges",
     "enforce_two_one_balance",
-    "find_neighbors",
     "hilbert_encode",
     "hilbert_key",
     "hilbert_sort_blocks",
-    "is_two_one_balanced",
     "morton_decode",
     "morton_encode",
     "morton_key",
     "sfc_sort_blocks",
-    "tag_by_predicate",
 ]

@@ -1,21 +1,23 @@
 """High-level AMR mesh facade combining octree, SFC, and neighbor graph.
 
 :class:`AmrMesh` is the object the rest of the library works with: it
-owns the octree forest, caches the SFC-ordered leaf list, geometry
-arrays, block-ID index and neighbor graph, and exposes the refinement
-entry point used by the simulation driver.  Every remesh that changes
-the forest drops all of those caches; each is rebuilt lazily (the graph
-by the vectorized builder) on its next access.
+owns the octree forest, caches the SFC-ordered leaf list, block keys,
+geometry arrays, block-ID index and neighbor graph, and exposes the
+refinement entry point used by the simulation driver.  The keys and
+geometry are views of the forest's per-generation
+:class:`~repro.mesh.octree.LeafIndex`.  Every remesh that changes the
+forest drops all of those caches; each is rebuilt lazily (the graph by
+the vectorized builder) on its next access.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import BlockIndex, RootGrid
-from .fast_neighbors import build_neighbor_graph_auto
+from .fast_neighbors import build_neighbor_graph_fast
 from .neighbors import NeighborGraph
 from .octree import OctreeForest
 from .refinement import RefinementTags, RemeshDelta, apply_tags
@@ -62,8 +64,6 @@ class AmrMesh:
             raise ValueError("domain_size must match dimensionality")
         self._blocks: List[BlockIndex] | None = None
         self._graph: NeighborGraph | None = None
-        self._coords: np.ndarray | None = None
-        self._levels: np.ndarray | None = None
         self._id_of: Dict[BlockIndex, int] | None = None
         self.generation = 0  # bumped on every structural change
 
@@ -87,18 +87,19 @@ class AmrMesh:
         return self._blocks
 
     @property
+    def keys(self) -> np.ndarray:
+        """Packed block keys in SFC (block-ID) order, read-only."""
+        return self.forest.index().keys
+
+    @property
     def neighbor_graph(self) -> NeighborGraph:
         """Neighbor graph over SFC-ordered blocks; cached.
 
-        Uses the vectorized builder (2:1-balanced fast path) with
-        automatic fallback to the reference implementation, fed the
-        cached leaves and geometry arrays so the forest is walked once
-        per mesh generation.
+        Built by the vectorized key-array builder; it shares this mesh's
+        leaf list when that is already built.
         """
         if self._graph is None:
-            self._graph = build_neighbor_graph_auto(
-                self.forest, self.blocks, self._geometry()
-            )
+            self._graph = build_neighbor_graph_fast(self.forest, self._blocks)
         return self._graph
 
     def block_id(self, idx: BlockIndex) -> int:
@@ -112,14 +113,9 @@ class AmrMesh:
             raise ValueError(f"{idx} is not a leaf of this mesh") from None
 
     def _geometry(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached per-block (coords, levels) arrays in SFC order."""
-        if self._coords is None or self._levels is None:
-            blocks = self.blocks
-            self._coords = np.asarray(
-                [b.coords for b in blocks], dtype=np.int64
-            ).reshape(len(blocks), self.dim)
-            self._levels = np.asarray([b.level for b in blocks], dtype=np.int64)
-        return self._coords, self._levels
+        """Per-block (coords, levels) arrays in SFC order, read-only."""
+        index = self.forest.index()
+        return index.coords, index.levels
 
     def levels(self) -> np.ndarray:
         """Refinement level per block in SFC order."""
@@ -148,8 +144,6 @@ class AmrMesh:
     def _invalidate(self) -> None:
         self._blocks = None
         self._graph = None
-        self._coords = None
-        self._levels = None
         self._id_of = None
         self.generation += 1
 
@@ -165,16 +159,6 @@ class AmrMesh:
         if delta.changed:
             self._invalidate()
         return delta
-
-    def remesh_by_predicate(
-        self,
-        should_refine: Callable[[BlockIndex], bool],
-        should_coarsen: Callable[[BlockIndex], bool] | None = None,
-    ) -> RemeshDelta:
-        """Tag by predicates and remesh in one step."""
-        from .refinement import tag_by_predicate
-
-        return self.remesh(tag_by_predicate(self.forest, should_refine, should_coarsen))
 
     def copy(self) -> "AmrMesh":
         clone = AmrMesh(

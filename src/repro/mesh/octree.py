@@ -6,26 +6,110 @@ simulation (paper §V-A1).  Refining a leaf replaces it with its ``2^dim``
 Morton-ordered children; coarsening replaces a full sibling set with the
 parent.
 
-The forest stores the leaf set explicitly (hash set of
-:class:`BlockIndex`) — the tree structure is implicit in the index
-arithmetic, which keeps refine/coarsen O(1) per block and makes the
-structure trivially serializable.  Depth-first traversal for block-ID
-assignment is provided both directly (recursive descent) and via the
-Morton sort in :mod:`repro.mesh.sfc`; the two agree by construction.
+The forest stores one mesh generation as a sorted int64 array of packed
+block keys (:func:`~repro.mesh.sfc.pack_block_keys`: level, then the
+Morton code of the block's coordinates).  The tree structure is implicit
+in the key arithmetic — a parent's code is the child's code shifted
+right by ``dim``, the children's codes are the parent's shifted left
+with the child number in the low bits — so a whole remesh delta applies
+as one array operation.  The depth-first (block-ID) order and the
+lookup arrays the vectorized neighbor and remesh code share are built
+once per generation as a :class:`LeafIndex`.  :class:`BlockIndex`
+objects are built only at the API edge: :meth:`OctreeForest.leaves_dfs`
+and the scalar queries, whose hash set is also built lazily.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterable, Iterator, List, Set
 
-from .geometry import BlockIndex, RootGrid
-from .sfc import sfc_sort_blocks
+import numpy as np
 
-__all__ = ["OctreeForest"]
+from .geometry import BlockIndex, RootGrid, blocks_from_arrays
+from .sfc import (
+    block_keys,
+    key_codes,
+    key_first_children,
+    key_levels,
+    morton_decode,
+    pack_block_keys,
+)
+
+__all__ = ["LeafIndex", "OctreeForest"]
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class LeafIndex:
+    """One forest generation's leaves in depth-first (block-ID) order.
+
+    Block ``i`` has packed key ``keys[i]``, refinement level
+    ``levels[i]`` and coordinates ``coords[i]``.  ``starts[i]`` is the
+    Morton code of the block's first cell at ``depth``, the deepest leaf
+    level; leaves never overlap, so ``starts`` ascends and sorting by it
+    is the octree depth-first order (paper Fig. 5).  ``rank[j]`` is the
+    block ID of the ``j``-th key of the forest's sorted key array.
+    """
+
+    dim: int
+    depth: int
+    keys: np.ndarray
+    levels: np.ndarray
+    coords: np.ndarray
+    starts: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def build(cls, sorted_keys: np.ndarray, dim: int) -> "LeafIndex":
+        levels = key_levels(sorted_keys)
+        codes = key_codes(sorted_keys)
+        depth = int(levels.max()) if levels.size else 0
+        starts = codes << (dim * (depth - levels))
+        order = np.argsort(starts, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        keys = sorted_keys[order]
+        index = cls(
+            dim=dim,
+            depth=depth,
+            keys=keys,
+            levels=levels[order],
+            coords=morton_decode(codes[order], dim).reshape(-1, dim),
+            starts=starts[order],
+            rank=rank,
+        )
+        for a in (index.keys, index.levels, index.coords, index.starts, index.rank):
+            a.setflags(write=False)
+        return index
+
+    @property
+    def n(self) -> int:
+        return int(self.keys.shape[0])
+
+    def locate(self, level: int, codes: np.ndarray) -> np.ndarray:
+        """Block ID of the leaf holding the first cell of each region.
+
+        ``codes`` are Morton codes of in-domain regions at ``level``
+        (at most ``depth``).  The leaf found is the region itself when
+        its level equals ``level``, a leaf covering the whole region
+        when it is coarser, and the region is subdivided when it is
+        finer.
+        """
+        first = np.asarray(codes, dtype=np.int64) << np.int64(
+            self.dim * (self.depth - level)
+        )
+        return np.searchsorted(self.starts, first, side="right") - 1
+
+
+def _child_keys(keys: np.ndarray, dim: int) -> np.ndarray:
+    """All children's keys of each key, ``(n, 2^dim)`` in Morton order."""
+    first = key_first_children(keys)
+    if (first < 0).any():
+        raise ValueError("refinement beyond the packed-key level or coordinate budget")
+    return first[:, None] | np.arange(1 << dim, dtype=np.int64)[None, :]
 
 
 class OctreeForest:
-    """Leaf-set octree forest with refine/coarsen operations.
+    """Packed-key leaf-array octree forest with refine/coarsen operations.
 
     Parameters
     ----------
@@ -40,7 +124,16 @@ class OctreeForest:
             raise ValueError("max_level must be >= 0")
         self.root = root
         self.max_level = max_level
-        self._leaves: Set[BlockIndex] = set(root.root_blocks())
+        coords = np.indices(root.shape).reshape(root.dim, -1).T
+        self._set_keys(np.sort(pack_block_keys(coords, np.zeros(len(coords), np.int64))))
+
+    def _set_keys(self, keys: np.ndarray) -> None:
+        """Install a new generation: sorted unique keys; drop its caches."""
+        keys.setflags(write=False)
+        self._keys = keys
+        self._index: LeafIndex | None = None
+        self._blocks: List[BlockIndex] | None = None
+        self._leaf_set: Set[BlockIndex] | None = None
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -52,61 +145,94 @@ class OctreeForest:
 
     @property
     def n_leaves(self) -> int:
-        return len(self._leaves)
+        return int(self._keys.shape[0])
+
+    def index(self) -> LeafIndex:
+        """This generation's :class:`LeafIndex` (built once, cached)."""
+        if self._index is None:
+            self._index = LeafIndex.build(self._keys, self.dim)
+        return self._index
+
+    def _leaves(self) -> Set[BlockIndex]:
+        if self._leaf_set is None:
+            self._leaf_set = set(self._dfs_blocks())
+        return self._leaf_set
 
     def is_leaf(self, idx: BlockIndex) -> bool:
-        return idx in self._leaves
+        return idx in self._leaves()
 
     def leaves(self) -> Iterator[BlockIndex]:
-        """Iterate leaves in arbitrary (hash) order."""
-        return iter(self._leaves)
+        """Iterate leaves (in depth-first order)."""
+        return iter(self._dfs_blocks())
 
     def leaf_level(self, idx: BlockIndex) -> int | None:
-        """Level of the leaf covering the region of ``idx``, or None.
+        """Level of the leaf equal to or covering ``idx``, or None.
 
-        ``idx`` may be at any level; the method walks up to find a leaf
-        ancestor, or reports a finer covering if ``idx`` is an internal
-        node.  Returns the leaf's level, or ``None`` if the region is
-        outside the domain.
+        ``None`` when ``idx`` is outside the domain or an internal node
+        (its region is covered by finer leaves).
         """
-        if not self.root.contains(idx):
-            return None
-        probe = idx
-        while True:
-            if probe in self._leaves:
-                return probe.level
-            if probe.level == 0:
-                break
-            probe = probe.parent()
-        # idx covers an internal node: leaves are finer than idx.
-        return None
+        leaf = self.find_covering_leaf(idx)
+        return None if leaf is None else leaf.level
 
     def find_covering_leaf(self, idx: BlockIndex) -> BlockIndex | None:
         """Return the leaf equal to or an ancestor of ``idx``, if any."""
         if not self.root.contains(idx):
             return None
+        leaves = self._leaves()
         probe = idx
         while True:
-            if probe in self._leaves:
+            if probe in leaves:
                 return probe
             if probe.level == 0:
                 return None
             probe = probe.parent()
 
+    def ids_of(self, blocks: Iterable[BlockIndex]) -> np.ndarray:
+        """Block IDs of those ``blocks`` that are leaves (others dropped)."""
+        index = self.index()
+        dim = self.dim
+        blocks = [b for b in blocks if len(b.coords) == dim and b.level <= index.depth]
+        if not blocks:
+            return np.empty(0, dtype=np.int64)
+        levels = np.fromiter((b.level for b in blocks), np.int64, len(blocks))
+        coords = np.asarray([b.coords for b in blocks], dtype=np.int64)
+        extent = np.asarray(self.root.shape, dtype=np.int64)[None, :] << levels[:, None]
+        inside = (coords < extent).all(axis=1)
+        keys = pack_block_keys(coords[inside], levels[inside])
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.n_leaves - 1)
+        return index.rank[pos[self._keys[pos] == keys]]
+
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
 
+    def apply_delta(self, refine: np.ndarray, coarsen: np.ndarray) -> None:
+        """Refine leaves and merge sibling sets in one array operation.
+
+        ``refine`` holds keys of leaves to split; ``coarsen`` keys of
+        parents whose ``2^dim`` children are all leaves, none of them
+        refined.  The caller guarantees both
+        (:func:`~repro.mesh.refinement.apply_tags` does); only the depth
+        limit is checked.
+        """
+        refine = np.asarray(refine, dtype=np.int64)
+        coarsen = np.asarray(coarsen, dtype=np.int64)
+        if refine.size and int(key_levels(refine).max()) >= self.max_level:
+            raise ValueError(f"refinement beyond max_level={self.max_level}")
+        removed = np.concatenate([refine, _child_keys(coarsen, self.dim).ravel()])
+        keep = np.ones(self.n_leaves, dtype=bool)
+        keep[np.searchsorted(self._keys, removed)] = False
+        added = np.concatenate([_child_keys(refine, self.dim).ravel(), coarsen])
+        self._set_keys(np.sort(np.concatenate([self._keys[keep], added])))
+
     def refine(self, idx: BlockIndex) -> List[BlockIndex]:
         """Split a leaf into its ``2^dim`` children; returns the children."""
-        if idx not in self._leaves:
+        if not self.is_leaf(idx):
             raise KeyError(f"{idx} is not a leaf")
         if idx.level >= self.max_level:
             raise ValueError(f"refinement beyond max_level={self.max_level}")
-        self._leaves.discard(idx)
-        kids = list(idx.children())
-        self._leaves.update(kids)
-        return kids
+        self.apply_delta(block_keys([idx]), np.empty(0, dtype=np.int64))
+        return list(idx.children())
 
     def coarsen(self, idx: BlockIndex) -> BlockIndex:
         """Merge the full sibling set containing ``idx`` into its parent.
@@ -117,51 +243,39 @@ class OctreeForest:
         if idx.level == 0:
             raise ValueError("cannot coarsen a root block")
         parent = idx.parent()
-        sibs = parent.children()
-        missing = [s for s in sibs if s not in self._leaves]
+        missing = [s for s in parent.children() if not self.is_leaf(s)]
         if missing:
             raise ValueError(f"cannot coarsen {idx}: siblings {missing} are not leaves")
-        for s in sibs:
-            self._leaves.discard(s)
-        self._leaves.add(parent)
+        self.apply_delta(np.empty(0, dtype=np.int64), block_keys([parent]))
         return parent
 
     def can_coarsen(self, idx: BlockIndex) -> bool:
         if idx.level == 0:
             return False
-        return all(s in self._leaves for s in idx.parent().children())
+        return all(self.is_leaf(s) for s in idx.parent().children())
 
     # ------------------------------------------------------------------ #
     # traversal / ordering
     # ------------------------------------------------------------------ #
 
+    def _dfs_blocks(self) -> List[BlockIndex]:
+        if self._blocks is None:
+            index = self.index()
+            self._blocks = blocks_from_arrays(index.levels, index.coords)
+        return self._blocks
+
     def leaves_dfs(self) -> List[BlockIndex]:
         """Leaves in depth-first (Morton-child) traversal order.
 
-        This is the canonical block-ID order used by placement: root trees
-        are visited in row-major root order *re-sorted by Morton code of
-        the root coordinates*, and within a tree children are visited in
-        Morton order, which is exactly the Z-order SFC (paper Fig. 5).
+        This is the canonical block-ID order used by placement: root
+        trees in Morton order of their coordinates, children in Morton
+        order within a tree — exactly the Z-order SFC (paper Fig. 5).
         """
-        out: List[BlockIndex] = []
-        roots = sfc_sort_blocks(list(self.root.root_blocks()))
-        for r in roots:
-            self._dfs(r, out)
-        return out
-
-    def _dfs(self, node: BlockIndex, out: List[BlockIndex]) -> None:
-        if node in self._leaves:
-            out.append(node)
-            return
-        if node.level >= self.max_level:
-            # Defensive: a non-leaf at max level means a corrupted leaf set.
-            raise RuntimeError(f"non-leaf {node} at max_level — leaf set corrupted")
-        for child in node.children():
-            self._dfs(child, out)
+        return list(self._dfs_blocks())
 
     def block_ids(self) -> Dict[BlockIndex, int]:
         """Map each leaf to its sequential block ID along the SFC."""
-        return {b: i for i, b in enumerate(self.leaves_dfs())}
+        return {b: i for i, b in enumerate(self._dfs_blocks())}
 
     # ------------------------------------------------------------------ #
     # validation / construction
@@ -170,28 +284,32 @@ class OctreeForest:
     def validate(self) -> None:
         """Check the leaf set is a non-overlapping exact cover of the domain.
 
-        Raises ``AssertionError`` on violation.  Cost is O(n log n); meant
-        for tests and debugging, not hot paths.
+        Raises ``AssertionError`` on violation.
         """
-        # Exact cover <=> total measure equals domain measure and no two
-        # leaves overlap.  Measure at max_level resolution:
-        total = 0
-        max_lvl = max((b.level for b in self._leaves), default=0)
-        for b in self._leaves:
-            assert self.root.contains(b), f"leaf {b} outside domain"
-            total += 1 << (self.dim * (max_lvl - b.level))
-        domain_cells = self.root.n_root_blocks * (1 << (self.dim * max_lvl))
-        assert total == domain_cells, f"leaf measure {total} != domain {domain_cells}"
-        # No overlap: no leaf may be an ancestor of another.
-        for b in self._leaves:
-            probe = b
-            while probe.level > 0:
-                probe = probe.parent()
-                assert probe not in self._leaves, f"{probe} overlaps leaf {b}"
+        index = self.index()
+        extent = np.asarray(self.root.shape, dtype=np.int64)[None, :] << index.levels[:, None]
+        outside = np.nonzero((index.coords >= extent).any(axis=1))[0]
+        if outside.size:
+            raise AssertionError(f"leaf {self._dfs_blocks()[outside[0]]} outside domain")
+        # Each leaf spans [start, start + size) of the depth-level Morton
+        # cells; in DFS order these ranges must not overlap, and together
+        # they must measure the whole domain.
+        size = np.int64(1) << (self.dim * (index.depth - index.levels))
+        overlap = np.nonzero(index.starts[1:] < index.starts[:-1] + size[:-1])[0]
+        if overlap.size:
+            blocks = self._dfs_blocks()
+            raise AssertionError(f"{blocks[overlap[0]]} overlaps leaf {blocks[overlap[0] + 1]}")
+        total = int(size.sum())
+        domain_cells = self.root.n_root_blocks << (self.dim * index.depth)
+        if total != domain_cells:
+            raise AssertionError(f"leaf measure {total} != domain {domain_cells}")
 
     def copy(self) -> "OctreeForest":
-        clone = OctreeForest(self.root, self.max_level)
-        clone._leaves = set(self._leaves)
+        clone = OctreeForest.__new__(OctreeForest)
+        clone.root = self.root
+        clone.max_level = self.max_level
+        clone._set_keys(self._keys)
+        clone._index, clone._blocks = self._index, self._blocks
         return clone
 
     @classmethod
@@ -199,22 +317,25 @@ class OctreeForest:
         cls, root: RootGrid, leaves: Iterable[BlockIndex], max_level: int = 10
     ) -> "OctreeForest":
         """Build a forest from an explicit leaf set (validated)."""
+        leaves = list(leaves)
+        if any(len(b.coords) != root.dim for b in leaves):
+            raise AssertionError("leaf dimensionality differs from the root grid")
         forest = cls(root, max_level)
-        forest._leaves = set(leaves)
+        forest._set_keys(np.unique(block_keys(leaves)))
         forest.validate()
         return forest
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return self.n_leaves
 
     def __contains__(self, idx: BlockIndex) -> bool:
-        return idx in self._leaves
+        return self.is_leaf(idx)
 
     def __repr__(self) -> str:
-        lvls: Dict[int, int] = {}
-        for b in self._leaves:
-            lvls[b.level] = lvls.get(b.level, 0) + 1
+        lvls, counts = np.unique(key_levels(self._keys), return_counts=True)
         return (
             f"OctreeForest(dim={self.dim}, root={self.root.shape}, "
-            f"leaves={len(self._leaves)}, levels={dict(sorted(lvls.items()))})"
+            f"leaves={self.n_leaves}, "
+            f"levels={dict(zip(lvls.tolist(), counts.tolist()))})"
         )
+

@@ -5,8 +5,11 @@ solution gradient) exceeds a threshold, and for coarsening when a region
 becomes smooth (paper §II-B).  Applying raw tags can violate the *2:1
 balance* invariant — adjacent leaves differing by more than one
 refinement level — which block-based codes require so each face abuts at
-most ``2^(dim-1)` neighbors.  This module converts tags into a legal
-sequence of refine/coarsen operations.
+most ``2^(dim-1)`` neighbors.  This module converts tags into a legal
+set of refine/coarsen operations and applies them to the forest's
+packed-key array in one step.  The 2:1 closure and the coarsen check
+probe neighbor regions in per-level batches with the helpers the
+neighbor-graph builder uses (:mod:`repro.mesh.fast_neighbors`).
 
 :func:`apply_tags` reports what it did as a :class:`RemeshDelta` — the
 refined leaves and the merged parents, in a deterministic order.  The
@@ -18,18 +21,20 @@ cached metadata must be rebuilt.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Iterator, Set, Tuple
 
-from .geometry import BlockIndex
-from .neighbors import find_neighbors
-from .octree import OctreeForest
+import numpy as np
+
+from .fast_neighbors import probe_regions
+from .geometry import BlockIndex, blocks_from_arrays
+from .octree import LeafIndex, OctreeForest
+from .sfc import key_codes, key_levels, key_parents, morton_decode
 
 __all__ = [
     "RefinementTags",
     "RemeshDelta",
     "enforce_two_one_balance",
     "apply_tags",
-    "is_two_one_balanced",
 ]
 
 
@@ -97,13 +102,86 @@ class RemeshDelta:
         return self.changed
 
 
-def is_two_one_balanced(forest: OctreeForest) -> bool:
-    """Whether every neighbor pair differs by at most one level."""
-    for b in forest.leaves():
-        for nb in find_neighbors(forest, b):
-            if abs(nb.level - b.level) > 1:
-                return False
-    return True
+def _level_coords_order(levels: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Permutation sorting blocks by ``(level, coords)``."""
+    columns = tuple(coords[:, k] for k in reversed(range(coords.shape[1])))
+    return np.lexsort(columns + (levels,))
+
+
+def _closure(forest: OctreeForest, index: LeafIndex, ids: np.ndarray) -> np.ndarray:
+    """Block-ID mask of the 2:1 closure of refinement tags ``ids``.
+
+    A vectorized fixpoint.  After refining a level-``L`` leaf its
+    children sit at ``L + 1``, so every neighboring leaf coarser than
+    ``L`` must refine too, which may cascade.  Each round probes the
+    frontier's same-level neighbor regions, per level and in every
+    direction, and one :meth:`~repro.mesh.octree.LeafIndex.locate` per
+    level finds the coarser leaves covering them; those not yet in the
+    result form the next frontier.  Max-level tags are dropped and do
+    not propagate.  Level-0 blocks have no coarser neighbor, so a
+    frontier of level-0 blocks ends the closure without a probe.
+    """
+    max_level = forest.max_level
+    result = np.zeros(index.n, dtype=bool)
+    frontier = ids[index.levels[ids] < max_level]
+    result[frontier] = True
+    frontier = np.flatnonzero(result)
+    while frontier.size:
+        levels = index.levels[frontier]
+        found = [np.empty(0, dtype=np.int64)]
+        for lvl in np.unique(levels[levels > 0]).tolist():
+            _, _, codes = probe_regions(index, forest.root, lvl, frontier[levels == lvl])
+            pos = index.locate(lvl, codes)
+            found.append(pos[index.levels[pos] < lvl])
+        new = np.unique(np.concatenate(found))
+        new = new[~result[new] & (index.levels[new] < max_level)]
+        result[new] = True
+        frontier = new
+    return result
+
+
+def _safe_merges(
+    forest: OctreeForest, index: LeafIndex, refine: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """Keys of the parents whose tagged sibling sets merge, ascending.
+
+    A candidate is a parent whose ``2^dim`` children are all tagged
+    leaves, none refined.  Merging parent ``p`` leaves its region at
+    ``p.level``; it is unsafe when a child (level ``C = p.level + 1``)
+    has, across any direction, a neighboring region that is
+
+    * a leaf at level ``C`` being refined (it ends at ``C + 1``), or
+    * subdivided (its leaves are at ``C + 1`` or deeper).
+
+    A level-``C + 1`` neighbor would be harmless only if its own parent
+    merged first — but that parent is a level-``C`` candidate, which
+    sorts after ``p`` in the greedy ``(level, coords)`` pass of the
+    per-block algorithm, where each check sees only the merges accepted
+    before it.  So that pass accepts exactly the candidates that are
+    safe against no accepted merges, which is what is checked here, with
+    one probe batch per child level.  When no leaf is deeper than ``C``
+    and no level-``C`` leaf refines, the batch is skipped: nothing can
+    make the merge unsafe.
+    """
+    dim = forest.dim
+    ids = ids[(index.levels[ids] > 0) & ~refine[ids]]
+    parents, owner, counts = np.unique(
+        key_parents(index.keys[ids]), return_inverse=True, return_counts=True
+    )
+    complete = counts[owner] == 1 << dim
+    kids, owner = ids[complete], owner[complete]
+    unsafe = np.zeros(parents.shape[0], dtype=bool)
+    kid_levels = index.levels[kids]
+    for lvl in np.unique(kid_levels).tolist():
+        if index.depth <= lvl and not refine[index.levels == lvl].any():
+            continue
+        batch = kid_levels == lvl
+        rows, _, codes = probe_regions(index, forest.root, lvl, kids[batch])
+        pos = index.locate(lvl, codes)
+        reached = index.levels[pos]
+        bad = (reached > lvl) | ((reached == lvl) & refine[pos])
+        unsafe[owner[batch][rows[bad]]] = True
+    return parents[(counts == 1 << dim) & ~unsafe]
 
 
 def enforce_two_one_balance(
@@ -111,72 +189,15 @@ def enforce_two_one_balance(
 ) -> Set[BlockIndex]:
     """Close a refinement set under the 2:1 balance constraint.
 
-    Given leaves already selected for refinement, returns a superset such
-    that refining all of them leaves the forest 2:1 balanced.  Uses the
-    standard ripple propagation: refining a block at level ``L`` forces
-    any neighboring leaf at level ``L-1`` or coarser to refine too, which
-    may cascade.
-
-    Each touched block is probed exactly once (a visited set covers
-    blocks that can never enter the result, e.g. max-level leaves
-    repeatedly rediscovered by their neighbors), and probes share one
-    depth limit, so closure cost is linear in the touched region rather
-    than O(touched x n).
-
-    The input forest must already be 2:1 balanced.
+    Given leaves selected for refinement, returns the superset that
+    :func:`apply_tags` refines: refining a level-``L`` block forces
+    every neighboring leaf at level ``L-1`` or coarser to refine too,
+    which may cascade.  Tags that are not leaves and max-level tags are
+    dropped.
     """
-    result: Set[BlockIndex] = set()
-    seen: Set[BlockIndex] = set()
-    depth_limit = forest.max_level
-    # Effective level of each region after refinement = leaf level + 1 if
-    # refined.  Work queue of blocks whose refinement may force neighbors.
-    queue: List[BlockIndex] = [b for b in to_refine if b in forest]
-    pending = set(queue)
-    while queue:
-        b = queue.pop()
-        pending.discard(b)
-        if b in seen:
-            continue
-        seen.add(b)
-        if b.level >= forest.max_level:
-            continue
-        result.add(b)
-        # After refining b, its children are at b.level + 1.  Any leaf
-        # neighbor at level <= b.level - 1 would now differ by >= 2.
-        for nb in find_neighbors(forest, b, depth_limit=depth_limit):
-            if nb.level < b.level and nb not in seen and nb not in pending:
-                pending.add(nb)
-                queue.append(nb)
-    return result
-
-
-def _coarsen_is_safe(
-    forest: OctreeForest,
-    parent: BlockIndex,
-    refined: Set[BlockIndex],
-    coarsened_parents: Set[BlockIndex],
-) -> bool:
-    """Whether coarsening ``parent``'s children keeps 2:1 balance.
-
-    The merged parent sits at ``parent.level``; every region adjacent to
-    it must end at level ``<= parent.level + 1``.  We check the *post-op*
-    level of each adjacent leaf: +1 if it is being refined, -1 if its
-    sibling set is being merged.
-    """
-    children = parent.children()
-    depth_limit = forest.max_level
-    for child in children:
-        for nb in find_neighbors(forest, child, depth_limit=depth_limit):
-            if nb in children:
-                continue
-            lvl = nb.level
-            if nb in refined:
-                lvl += 1
-            elif nb.level > 0 and nb.parent() in coarsened_parents:
-                lvl -= 1
-            if lvl - parent.level > 1:
-                return False
-    return True
+    index = forest.index()
+    ids = np.flatnonzero(_closure(forest, index, forest.ids_of(to_refine)))
+    return set(blocks_from_arrays(index.levels[ids], index.coords[ids]))
 
 
 def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
@@ -185,48 +206,22 @@ def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
     Refinement wins over coarsening: the refine set is first closed under
     2:1 balance, then coarsening is applied only to full sibling sets
     whose merge does not violate balance against the post-refinement mesh.
+    The whole delta is applied to the forest's key array at once.
 
     The returned delta still unpacks as ``(n_refined, n_coarsened)``.
     """
-    refine = enforce_two_one_balance(forest, set(tags.refine))
+    index = forest.index()
+    refine = _closure(forest, index, forest.ids_of(tags.refine))
+    merged = _safe_merges(forest, index, refine, forest.ids_of(tags.coarsen))
 
-    # Candidate coarsen parents: all 2^dim siblings tagged, none refined.
-    by_parent: Dict[BlockIndex, Set[BlockIndex]] = {}
-    for b in tags.coarsen:
-        if b in forest and b.level > 0 and b not in refine:
-            by_parent.setdefault(b.parent(), set()).add(b)
-    full = 1 << forest.dim
-    candidates = {
-        p for p, kids in by_parent.items()
-        if len(kids) == full and not any(k in refine for k in p.children())
-    }
-
-    # Greedily accept merges that stay balanced (order-stable via sort).
-    accepted: Set[BlockIndex] = set()
-    for p in sorted(candidates, key=lambda x: (x.level, x.coords)):
-        if _coarsen_is_safe(forest, p, refine, accepted):
-            accepted.add(p)
-
-    refined = sorted(refine, key=lambda x: (x.level, x.coords))
-    coarsened = sorted(accepted, key=lambda x: (x.level, x.coords))
-
-    for b in refined:
-        forest.refine(b)
-    for p in coarsened:
-        forest.coarsen(p.children()[0])
-    return RemeshDelta(refined=tuple(refined), coarsened=tuple(coarsened))
-
-
-def tag_by_predicate(
-    forest: OctreeForest,
-    should_refine: Callable[[BlockIndex], bool],
-    should_coarsen: Callable[[BlockIndex], bool] | None = None,
-) -> RefinementTags:
-    """Build tags from per-block predicates (refine wins on conflict)."""
-    tags = RefinementTags()
-    for b in forest.leaves():
-        if b.level < forest.max_level and should_refine(b):
-            tags.refine.add(b)
-        elif should_coarsen is not None and b.level > 0 and should_coarsen(b):
-            tags.coarsen.add(b)
-    return tags
+    refined = np.flatnonzero(refine)
+    refined = refined[_level_coords_order(index.levels[refined], index.coords[refined])]
+    m_levels = key_levels(merged)
+    m_coords = morton_decode(key_codes(merged), forest.dim).reshape(-1, forest.dim)
+    order = _level_coords_order(m_levels, m_coords)
+    if refined.size or merged.size:
+        forest.apply_delta(index.keys[refined], merged)
+    return RemeshDelta(
+        refined=tuple(blocks_from_arrays(index.levels[refined], index.coords[refined])),
+        coarsened=tuple(blocks_from_arrays(m_levels[order], m_coords[order])),
+    )

@@ -30,6 +30,7 @@ from .geometry import BlockIndex
 __all__ = [
     "morton_encode",
     "morton_decode",
+    "spread_bits",
     "morton_key",
     "sfc_sort_blocks",
     "contiguous_ranges",
@@ -39,6 +40,7 @@ __all__ = [
     "as_block_keys",
     "unpack_block_keys",
     "key_levels",
+    "key_codes",
     "key_parents",
     "key_first_children",
 ]
@@ -62,9 +64,11 @@ _KEY_COORD_BITS = (0, 21, 21, 18)
 _KEY_CODE_BITS = np.array([d * b for d, b in enumerate(_KEY_COORD_BITS)], dtype=np.int64)
 
 
-def _part_bits(x: np.ndarray, dim: int) -> np.ndarray:
+def spread_bits(x: np.ndarray, dim: int) -> np.ndarray:
     """Spread the low ``_MAX_BITS`` bits of ``x``, ``dim - 1`` zeros apart.
 
+    Shifted left by ``k``, this is coordinate ``k``'s share of a
+    ``dim``-d Morton code (the code is the OR of the shares).
     Implemented with the classic parallel-prefix magic-number sequence,
     vectorized over numpy arrays of uint64.
     """
@@ -91,7 +95,7 @@ def _part_bits(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _compact_bits(x: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`_part_bits`."""
+    """Inverse of :func:`spread_bits`."""
     x = x.astype(np.uint64)
     if dim == 1:
         return x
@@ -137,7 +141,7 @@ def morton_encode(coords: np.ndarray) -> np.ndarray:
         raise ValueError(f"coordinates must be in [0, 2^{_MAX_BITS})")
     code = np.zeros(n, dtype=np.uint64)
     for k in range(dim):
-        code |= _part_bits(coords[:, k].astype(np.uint64), dim) << np.uint64(k)
+        code |= spread_bits(coords[:, k].astype(np.uint64), dim) << np.uint64(k)
     return code
 
 
@@ -276,6 +280,11 @@ def unpack_block_keys(keys: np.ndarray) -> List[BlockIndex]:
 def key_levels(keys: np.ndarray) -> np.ndarray:
     """Refinement level of each packed key."""
     return _key_fields(keys)[1]
+
+
+def key_codes(keys: np.ndarray) -> np.ndarray:
+    """Morton code of each packed key's own coordinates."""
+    return _key_fields(keys)[2]
 
 
 def key_parents(keys: np.ndarray) -> np.ndarray:

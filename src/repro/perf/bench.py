@@ -244,7 +244,7 @@ def _bench_mesh(
     params: Dict, metrics: Dict, derived: Dict, log: Callable[[str], None]
 ) -> None:
     from ..bench.commbench import random_refined_mesh
-    from ..mesh.fast_neighbors import build_neighbor_graph_auto
+    from ..mesh.fast_neighbors import build_neighbor_graph_fast
     from ..mesh.refinement import RefinementTags
     from ..mesh.sfc import sfc_sort_blocks
 
@@ -264,7 +264,7 @@ def _bench_mesh(
 
     metric = f"mesh.neighbor_graph.n{n}"
     metrics[metric] = _time_case(
-        lambda: build_neighbor_graph_auto(mesh.forest), params["mesh_repeats"]
+        lambda: build_neighbor_graph_fast(mesh.forest), params["mesh_repeats"]
     )
     log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 

@@ -4,9 +4,8 @@ Refinement only fires on trigger epochs, so consecutive epochs usually
 share the same neighbor graph, and the tenants of one ``repro serve``
 process often sweep the same configuration.  Whenever the placement
 also repeats, :meth:`ExchangePattern.from_mesh` (edge gather, rank-pair
-collapse, latency classification) and :func:`message_stats` recompute
-bit-identical values.  :class:`SharedPatternCache` memoizes both for
-the whole process; the engine looks it up through a per-run
+collapse, latency classification) recomputes bit-identical values.
+:class:`SharedPatternCache` memoizes it for the whole process; the engine looks it up through a per-run
 :class:`PatternCacheHandle` only in service mode
 (``SupervisorConfig.shared_pattern_store``, set on every ``repro
 serve`` job and handed by the supervisor to each cell).  Every other
@@ -19,10 +18,10 @@ Correctness contract (pinned by the cache tests):
   only the per-rank ``loads`` vector depends on this epoch's costs, so
   it is recomputed on every lookup with the exact ``np.bincount``
   expression ``from_mesh`` uses;
-* the key is a content fingerprint of every input ``from_mesh`` and
-  ``message_stats`` read (graph edges + block set, assignment bytes,
-  cluster shape and NIC tiers, fabric), so equal content hits across
-  runs and any change misses;
+* the key is a content fingerprint of every input ``from_mesh`` reads
+  (graph edges, kinds and block keys, assignment bytes, cluster shape
+  and NIC tiers, fabric), so equal content hits across runs and any
+  change misses;
 * the store is LRU-bounded at :data:`SHARED_PATTERN_CACHE_SIZE`
   entries; evictions are counted.
 """
@@ -37,7 +36,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.metrics import MessageStats, message_stats
 from ..simnet.cluster import Cluster
 from ..simnet.machine import FabricSpec
 from ..simnet.runtime import ExchangePattern
@@ -77,7 +75,7 @@ class SharedPatternCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         #: key -> (pattern with stale loads, message stats)
-        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, ExchangePattern]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = PatternCacheStats()
 
@@ -93,14 +91,17 @@ class SharedPatternCache:
 
     @staticmethod
     def _graph_fingerprint(graph) -> str:
-        """Content digest of a neighbor graph, memoized on the object."""
+        """Content digest of a neighbor graph, memoized on the object.
+
+        Hashes the edges, kinds and packed block keys; a key encodes a
+        block's dim, level and coordinates injectively, so graphs over
+        different block sets never share a digest.
+        """
         fp = getattr(graph, "_repro_content_fp", None)
         if fp is None:
             h = hashlib.sha256()
-            h.update(np.ascontiguousarray(graph.edges).tobytes())
-            h.update(np.ascontiguousarray(graph.kinds).tobytes())
-            for block in graph.blocks:
-                h.update(repr(block).encode())
+            for part in (graph.edges, graph.kinds, graph.keys):
+                h.update(np.ascontiguousarray(part).tobytes())
                 h.update(b"\x00")
             fp = h.hexdigest()
             try:
@@ -133,12 +134,12 @@ class SharedPatternCache:
         cluster: Cluster,
         fabric: FabricSpec,
         stats: Optional[PatternCacheStats] = None,
-    ) -> Tuple[ExchangePattern, MessageStats]:
-        """Return ``(pattern, message_stats)`` for this epoch.
+    ) -> ExchangePattern:
+        """Return this epoch's exchange pattern.
 
-        Bit-identical to calling :meth:`ExchangePattern.from_mesh` and
-        :func:`message_stats` directly, whether it hits or misses.
-        ``stats`` (a handle's counters) is counted next to the store's.
+        Bit-identical to calling :meth:`ExchangePattern.from_mesh`
+        directly, whether it hits or misses.  ``stats`` (a handle's
+        counters) is counted next to the store's.
         """
         assignment = np.asarray(assignment, dtype=np.int64)
         key = self._key(graph, assignment, cluster, fabric)
@@ -150,27 +151,25 @@ class SharedPatternCache:
                 for c in counters:
                     c.hits += 1
         if entry is not None:
-            pattern, ms = entry
             loads = np.asarray(
                 np.bincount(assignment, weights=costs, minlength=cluster.n_ranks),
                 dtype=np.float64,
             )
-            return dataclasses.replace(pattern, loads=loads), ms
+            return dataclasses.replace(entry, loads=loads)
 
         # Compute outside the lock (the expensive part); a concurrent
         # duplicate insert is harmless — both values are bit-identical.
         pattern = ExchangePattern.from_mesh(graph, assignment, costs, cluster, fabric)
-        ms = message_stats(graph, assignment, cluster.ranks_per_node)
         with self._lock:
             for c in counters:
                 c.misses += 1
-            self._entries[key] = (pattern, ms)
+            self._entries[key] = pattern
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 for c in counters:
                     c.evictions += 1
-        return pattern, ms
+        return pattern
 
 
 class PatternCacheHandle:
@@ -188,7 +187,7 @@ class PatternCacheHandle:
         costs: np.ndarray,
         cluster: Cluster,
         fabric: FabricSpec,
-    ) -> Tuple[ExchangePattern, MessageStats]:
+    ) -> ExchangePattern:
         return self.store.lookup(
             graph, assignment, costs, cluster, fabric, stats=self.stats
         )

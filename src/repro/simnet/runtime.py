@@ -79,6 +79,19 @@ class ExchangePattern:
     loads: np.ndarray
     intra_volume: np.ndarray
 
+    def message_counts(self, n_edges: int) -> Tuple[int, int, int]:
+        """``(intra_rank, local, remote)`` counts of the epoch's
+        ``n_edges`` neighbor pairs, as :func:`~repro.core.metrics.
+        message_stats` classifies them.
+
+        Each cross-rank pair adds one incoming message at both endpoints,
+        so the local and remote pair counts are half the summed
+        ``in_local`` and ``in_remote``; the rest are same-rank pairs.
+        """
+        local = int(self.in_local.sum()) // 2
+        remote = int(self.in_remote.sum()) // 2
+        return n_edges - local - remote, local, remote
+
     @classmethod
     def from_mesh(
         cls,

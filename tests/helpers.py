@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from repro.mesh import AmrMesh
+from repro.mesh import AmrMesh, RefinementTags
 from repro.mesh.geometry import RootGrid
 from repro.mesh.octree import OctreeForest
 
@@ -82,6 +82,17 @@ def random_forest(seed: int, n_ops: int = 12, dim: int = 2) -> OctreeForest:
             if candidates:
                 forest.coarsen(candidates[int(rng.integers(len(candidates)))])
     return forest
+
+
+def tag_by_predicate(forest, should_refine, should_coarsen=None) -> RefinementTags:
+    """Tags from per-block predicates (refine wins on conflict)."""
+    tags = RefinementTags()
+    for b in forest.leaves():
+        if b.level < forest.max_level and should_refine(b):
+            tags.refine.add(b)
+        elif should_coarsen is not None and b.level > 0 and should_coarsen(b):
+            tags.coarsen.add(b)
+    return tags
 
 
 def warmed_mesh(shape, periodic, max_level=3) -> AmrMesh:

@@ -13,17 +13,17 @@ from repro.mesh import (
     RefinementTags,
     RootGrid,
     block_bounds,
-    build_neighbor_graph_auto,
+    build_neighbor_graph_fast,
 )
-from repro.mesh.refinement import is_two_one_balanced
 
-from tests.helpers import warmed_mesh
+from tests.helpers import tag_by_predicate, warmed_mesh
+from tests.mesh_reference import is_two_one_balanced
 
 
 def assert_mesh_consistent(mesh: AmrMesh) -> None:
     """Every cached derived structure matches a from-scratch rebuild:
     blocks, edge rows in the same order, and kinds."""
-    graph, rebuilt = mesh.neighbor_graph, build_neighbor_graph_auto(mesh.forest)
+    graph, rebuilt = mesh.neighbor_graph, build_neighbor_graph_fast(mesh.forest)
     assert graph.blocks == rebuilt.blocks
     assert np.array_equal(graph.edges, rebuilt.edges)
     assert np.array_equal(graph.kinds, rebuilt.kinds)
@@ -106,7 +106,9 @@ class TestFacade:
 
     def test_remesh_by_predicate(self):
         mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
-        n_ref, _ = mesh.remesh_by_predicate(lambda b: b.coords == (0, 0))
+        n_ref, _ = mesh.remesh(
+            tag_by_predicate(mesh.forest, lambda b: b.coords == (0, 0))
+        )
         assert n_ref == 1
         assert mesh.n_blocks == 7
         assert is_two_one_balanced(mesh.forest)

@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mesh.geometry import BlockIndex, RootGrid
-from repro.mesh.neighbors import (
-    NeighborKind,
-    build_neighbor_graph,
-    find_neighbors,
-)
+from repro.mesh.neighbors import NeighborKind
 from repro.mesh.octree import OctreeForest
 
 from tests.helpers import random_forest
+from tests.mesh_reference import build_neighbor_graph, find_neighbors
 
 
 class TestUniformGrid:

@@ -99,6 +99,9 @@ class TestQueries:
         bad = good + [BlockIndex(1, (0, 0))]  # overlaps root (0,0)
         with pytest.raises(AssertionError):
             OctreeForest.from_leaves(root, bad)
+        for bad in (good[1:], good + [BlockIndex(0, (2, 0))]):  # gap; outside
+            with pytest.raises(AssertionError):
+                OctreeForest.from_leaves(root, bad)
 
     def test_copy_is_independent(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=2)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import AmrMesh
@@ -13,11 +13,11 @@ from repro.mesh.refinement import (
     RemeshDelta,
     apply_tags,
     enforce_two_one_balance,
-    is_two_one_balanced,
-    tag_by_predicate,
 )
 
-from tests.helpers import random_forest, warmed_mesh
+from tests.helpers import random_forest, tag_by_predicate, warmed_mesh
+from tests.mesh_reference import apply_tags_reference, is_two_one_balanced
+from tests.mesh_reference import enforce_two_one_balance as reference_closure
 
 
 class TestTags:
@@ -232,15 +232,75 @@ class TestBalanceCascade:
         import repro.mesh.refinement as refinement_mod
 
         forest, corner = self.deep_gradient_forest()
-        calls = {"n": 0}
-        real = refinement_mod.find_neighbors
+        probed = {"n": 0}
+        real = refinement_mod.probe_regions
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(index, root, level, ids):
+            probed["n"] += len(ids)
+            return real(index, root, level, ids)
 
-        monkeypatch.setattr(refinement_mod, "find_neighbors", counting)
+        monkeypatch.setattr(refinement_mod, "probe_regions", counting)
         closed = enforce_two_one_balance(forest, {corner})
-        # Linear closure: exactly one probe per block that enters the
-        # result — rediscovered or max-level blocks are never re-probed.
-        assert calls["n"] == len(closed)
+        # Linear closure: each block that enters the result is probed
+        # exactly once, and level-0 blocks (no coarser neighbor) never.
+        assert probed["n"] == sum(1 for b in closed if b.level > 0)
+
+
+# ---------------------------------------------------------------------- #
+# differential: vectorized closure and coarsen check vs the per-block
+# reference
+# ---------------------------------------------------------------------- #
+
+
+def _random_tags(forest, rng, p_refine, p_coarsen) -> RefinementTags:
+    leaves = sorted(forest.leaves(), key=lambda b: (b.level, b.coords))
+    refine = {b for b in leaves if rng.random() < p_refine}
+    coarsen = {b for b in leaves if b not in refine and rng.random() < p_coarsen}
+    # Tags on internal nodes and on children of leaves are not leaves:
+    # both implementations must drop them.
+    for b in leaves[:: max(1, len(leaves) // 3)]:
+        extra = b.parent() if b.level > 0 else b.children()[0]
+        into, other = (refine, coarsen) if rng.random() < 0.5 else (coarsen, refine)
+        if extra not in other:
+            into.add(extra)
+    return RefinementTags(refine=refine, coarsen=coarsen)
+
+
+class TestDifferentialAgainstReference:
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+        st.floats(0.0, 0.4),
+        st.floats(0.2, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_apply_tags_matches_reference(self, seed, dim, periodic, p_ref, p_coa):
+        rng = np.random.default_rng(seed)
+        max_level = 3 if dim == 3 else 4
+        forest = OctreeForest(
+            RootGrid((2, 1, 2)[:dim] if dim == 3 else (3, 2), periodic=(periodic,) * dim),
+            max_level=max_level,
+        )
+        for _ in range(3 if dim == 3 else 5):
+            tags = _random_tags(forest, rng, p_ref, p_coa)
+            refined, coarsened = apply_tags_reference(forest, tags)
+            delta = apply_tags(forest, tags)
+            assert list(delta.refined) == refined
+            assert list(delta.coarsened) == coarsened
+            forest.validate()
+        assert is_two_one_balanced(forest)
+
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.floats(0.05, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_closure_matches_reference_on_unbalanced(self, seed, dim, p_ref):
+        # Per-block walks may break 2:1 balance; the closure and the
+        # coarsen check still agree with the reference there.
+        forest = random_forest(seed, n_ops=8, dim=dim)
+        tags = _random_tags(forest, np.random.default_rng(seed), p_ref, 0.7)
+        assert enforce_two_one_balance(forest, tags.refine) == (
+            reference_closure(forest, tags.refine)
+        )
+        refined, coarsened = apply_tags_reference(forest, tags)
+        delta = apply_tags(forest, tags)
+        assert (list(delta.refined), list(delta.coarsened)) == (refined, coarsened)

@@ -52,7 +52,7 @@ class TestMessageStatsPartition:
     def test_classes_partition_edges(self, seed, n_ranks):
         from tests.helpers import random_forest
 
-        from repro.mesh.neighbors import build_neighbor_graph
+        from tests.mesh_reference import build_neighbor_graph
 
         f = random_forest(seed, dim=2)
         g = build_neighbor_graph(f)

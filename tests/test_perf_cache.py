@@ -10,6 +10,7 @@ from repro.amr.driver import run_trajectory
 from repro.core.metrics import message_stats
 from repro.core.policy import get_policy
 from repro.engine.types import DriverConfig
+from repro.mesh.geometry import BlockIndex
 from repro.mesh.neighbors import NeighborGraph
 from repro.perf.cache import SharedPatternCache
 from repro.perf.supervisor import SWEEP_CONFIG, SupervisorConfig
@@ -49,12 +50,13 @@ def assert_patterns_identical(a: ExchangePattern, b: ExchangePattern):
             assert va == vb, f.name
 
 
-def assert_direct(result, graph, assignment, costs, cluster, fabric=FABRIC):
-    """``result`` equals ``from_mesh`` + ``message_stats`` bit for bit."""
-    pattern, ms = result
+def assert_direct(pattern, graph, assignment, costs, cluster, fabric=FABRIC):
+    """``pattern`` equals ``from_mesh`` bit for bit, and its message
+    counts equal ``message_stats``."""
     direct = ExchangePattern.from_mesh(graph, assignment, costs, cluster, fabric)
     assert_patterns_identical(pattern, direct)
-    assert ms == message_stats(graph, assignment, cluster.ranks_per_node)
+    ms = message_stats(graph, assignment, cluster.ranks_per_node)
+    assert pattern.message_counts(graph.n_edges) == (ms.intra_rank, ms.local, ms.remote)
 
 
 class TestLookup:
@@ -179,6 +181,35 @@ class TestLookup:
         assert (first.stats.hits, first.stats.misses) == (0, 1)
         assert (second.stats.hits, second.stats.misses) == (2, 0)
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+
+class TestGraphFingerprint:
+    def test_equal_graphs_equal_fingerprints(self, epochs):
+        g = epochs[0].graph
+        twin = NeighborGraph(list(g.blocks), g.edges.copy(), g.kinds.copy())
+        fp = SharedPatternCache._graph_fingerprint
+        assert fp(twin) == fp(g)
+
+    @pytest.mark.parametrize("change", ["level", "coords"])
+    def test_one_block_differs(self, epochs, change):
+        g = epochs[0].graph
+        blocks = list(g.blocks)
+        b = blocks[-1]
+        blocks[-1] = (
+            BlockIndex(b.level + 1, b.coords) if change == "level"
+            else BlockIndex(b.level, (b.coords[0] + 1,) + b.coords[1:])
+        )
+        other = NeighborGraph(blocks, g.edges.copy(), g.kinds.copy())
+        fp = SharedPatternCache._graph_fingerprint
+        assert fp(other) != fp(g)
+
+    def test_keys_only_graph_needs_no_blocks(self, epochs):
+        g = epochs[0].graph
+        keyed = NeighborGraph(None, g.edges, g.kinds, keys=g.keys)
+        assert SharedPatternCache._graph_fingerprint(keyed) == (
+            SharedPatternCache._graph_fingerprint(g)
+        )
+        assert keyed._blocks is None
 
 
 class TestEngineIntegration:

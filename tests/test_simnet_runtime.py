@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import get_policy, message_stats
+from repro.mesh.neighbors import NeighborGraph
 from repro.simnet import (
     BSPModel,
     Cluster,
@@ -14,6 +17,8 @@ from repro.simnet import (
     TUNED,
     UNTUNED,
 )
+
+from tests.helpers import random_edges
 
 
 @pytest.fixture
@@ -36,6 +41,34 @@ class TestExchangePattern:
         assert pattern.in_local.sum() == 2 * ms.local
         assert pattern.in_remote.sum() == 2 * ms.remote
         assert pattern.out_remote.sum() == pattern.in_remote.sum()
+
+    @given(st.integers(0, 10_000), st.integers(1, 60), st.integers(1, 64))
+    @settings(max_examples=30)
+    def test_message_counts_equal_message_stats(self, seed, n_blocks, n_ranks):
+        rng = np.random.default_rng(seed)
+        cluster = Cluster(n_ranks=n_ranks)
+        rpn = cluster.ranks_per_node
+        edges = random_edges(rng, n_blocks, factor=int(rng.integers(0, 4)))
+        kinds = rng.integers(1, 4, size=len(edges)).astype(np.int8)
+        graph = NeighborGraph([None] * n_blocks, edges, kinds)
+        costs = np.ones(n_blocks)
+        spread = rng.integers(0, n_ranks, size=n_blocks)
+        one_rank = np.zeros(n_blocks, dtype=np.int64)
+        for assignment in (spread, one_rank):
+            pattern = ExchangePattern.from_mesh(graph, assignment, costs, cluster)
+            ms = message_stats(graph, assignment, rpn)
+            assert pattern.message_counts(graph.n_edges) == (
+                ms.intra_rank, ms.local, ms.remote
+            )
+
+    def test_message_counts_edgeless(self):
+        graph = NeighborGraph(
+            [None] * 5, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int8)
+        )
+        pattern = ExchangePattern.from_mesh(
+            graph, np.arange(5) % 2, np.ones(5), Cluster(n_ranks=32)
+        )
+        assert pattern.message_counts(0) == (0, 0, 0)
 
     def test_loads_match_bincount(self, env):
         _, cluster, costs, assignment, pattern = env

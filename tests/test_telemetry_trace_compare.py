@@ -122,21 +122,22 @@ class TestCompareRuns:
         assert "sync_s" in text
 
 
-class TestNetworkxExport:
+class TestNeighborGraphStructure:
     def test_uniform_grid_structure(self):
-        import networkx as nx
-
         from repro.mesh import AmrMesh, NeighborKind, RootGrid
 
-        g = AmrMesh(RootGrid((3, 3, 3))).neighbor_graph.to_networkx(
-            weights_by_kind={NeighborKind.FACE: 4.0, NeighborKind.EDGE: 2.0,
-                             NeighborKind.VERTEX: 1.0}
-        )
-        assert g.number_of_nodes() == 27
-        assert nx.is_connected(g)
-        # Center block has all 26 neighbor kinds represented.
-        # The center block is found by degree, not by SFC id.
-        degrees = dict(g.degree())
-        assert max(degrees.values()) == 26
-        weights = {d["weight"] for _, _, d in g.edges(data=True)}
-        assert weights == {4.0, 2.0, 1.0}
+        g = AmrMesh(RootGrid((3, 3, 3))).neighbor_graph
+        assert g.n_blocks == 27
+        # Connected: a breadth-first search from block 0 reaches all.
+        adj = g.adjacency()
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [n for b in frontier for n in adj[b] if n not in seen]
+            seen.update(frontier)
+        assert len(seen) == 27
+        # The center block touches all 26 others; it is found by
+        # degree, not by SFC id.
+        assert int(g.degree().max()) == 26
+        weights = g.edge_weights({NeighborKind.FACE: 4.0, NeighborKind.EDGE: 2.0,
+                                  NeighborKind.VERTEX: 1.0})
+        assert set(weights.tolist()) == {4.0, 2.0, 1.0}
