@@ -7,7 +7,7 @@ generators — the Sedov Blast Wave 3D trajectory of Table I and a
 galaxy-cooling-style high-variability workload.
 """
 
-from .block import BlockCostTracker, MeshBlock
+from .block import BlockCostTracker
 from .cooling import CoolingConfig, CoolingWorkload
 from .driver import DriverConfig, RunSummary, run_trajectory
 from .redistribution import (
@@ -27,12 +27,10 @@ from .sedov import (
 )
 from .hydro import EulerSolver2D, EulerState, blast_initial_state, sod_initial_state
 from .pipeline import BlockSolver, Simulation, SimulationResult
-from .solver import AdvectionSolver
 from .taskgraph import Task, TaskGraph, TaskKind, build_exchange_graph, rank_schedule
 from .trigger import ImbalanceTrigger, TriggerDecision
 
 __all__ = [
-    "AdvectionSolver",
     "BlockSolver",
     "EulerSolver2D",
     "Simulation",
@@ -47,7 +45,6 @@ __all__ = [
     "CoolingConfig",
     "CoolingWorkload",
     "DriverConfig",
-    "MeshBlock",
     "RedistributionOutcome",
     "RunSummary",
     "SedovConfig",

@@ -1,4 +1,4 @@
-"""Mesh block state and per-block cost accounting.
+"""Per-block cost accounting.
 
 Every block holds the same number of cells regardless of refinement
 level (§II-B) — cost differences come from *kernel* behaviour (solver
@@ -11,52 +11,12 @@ makes telemetry-driven costs imperfect predictors.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
-
 import numpy as np
 
 from ..mesh.geometry import BlockIndex
-from ..mesh.sfc import (
-    as_block_keys,
-    block_keys,
-    key_levels,
-    key_parents,
-    unpack_block_keys,
-)
+from ..mesh.sfc import as_block_keys, key_levels, key_parents
 
-__all__ = ["MeshBlock", "BlockCostTracker"]
-
-
-@dataclasses.dataclass
-class MeshBlock:
-    """A simulation mesh block: logical index plus runtime state.
-
-    Attributes
-    ----------
-    index:
-        Logical octree address.
-    block_id:
-        Sequential SFC id (valid for the current mesh generation).
-    rank:
-        Owning rank under the current placement.
-    cost:
-        Current per-step compute cost estimate (framework hook; the
-        baseline initializes this to 1.0).
-    data:
-        Optional cell data payload (used by the example mini-solver;
-        the performance model never touches it).
-    """
-
-    index: BlockIndex
-    block_id: int
-    rank: int = -1
-    cost: float = 1.0
-    data: Optional[np.ndarray] = None
-
-    @property
-    def level(self) -> int:
-        return self.index.level
+__all__ = ["BlockCostTracker"]
 
 
 class BlockCostTracker:
@@ -74,7 +34,7 @@ class BlockCostTracker:
     in ascending order and their values, so the per-epoch calls are
     ``searchsorted`` joins.  ``observe_all``, ``estimates`` and
     ``forget_except`` take either key arrays or :class:`BlockIndex`
-    sequences; ``state``/``load_state`` speak :class:`BlockIndex`.
+    sequences; ``state``/``load_state`` copy the two arrays.
     """
 
     def __init__(self, alpha: float = 0.5, default_cost: float = 1.0) -> None:
@@ -152,16 +112,15 @@ class BlockCostTracker:
             probe = key_parents(probe[rest])
         return out
 
-    def state(self) -> dict[BlockIndex, float]:
-        """Copy of the estimate table, for checkpointing."""
-        return dict(zip(unpack_block_keys(self._keys), self._vals.tolist()))
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the (ascending keys, estimates) arrays, for checkpointing."""
+        return self._keys.copy(), self._vals.copy()
 
-    def load_state(self, estimates: dict[BlockIndex, float]) -> None:
-        """Replace the estimate table from a checkpoint."""
-        keys = block_keys(estimates)
-        vals = np.fromiter(estimates.values(), dtype=np.float64, count=len(estimates))
-        order = np.argsort(keys)
-        self._keys, self._vals = keys[order], vals[order]
+    def load_state(self, state: tuple[np.ndarray, np.ndarray]) -> None:
+        """Replace the estimate table from a :meth:`state` checkpoint."""
+        keys, vals = state
+        self._keys = np.array(keys, dtype=np.int64)
+        self._vals = np.array(vals, dtype=np.float64)
 
     def forget_except(self, live) -> None:
         """Drop estimates for blocks no longer in the mesh (bounded memory)."""

@@ -6,13 +6,14 @@ Godunov-type finite-volume scheme for the 2D Euler equations
 
     U_t + F(U)_x + G(U)_y = 0,   U = (rho, rho u, rho v, E)
 
-with HLL fluxes.  Block data, ghost exchange across refinement levels
-and the run loop come from :class:`~repro.amr.solver.BlockFieldSolver`;
-this module supplies the Euler physics: fluxes, the CFL limit,
-reflective walls and the remesh transfer.  Gradient-based tagging feeds
-the same 2:1-balanced refinement machinery the placement study uses,
-and per-block kernel *times are measured*, so the telemetry-driven cost
-model can be fed by actual computation (see ``examples/blast_hydro.py``).
+with HLL fluxes.  Each leaf of the mesh carries a ``block_cells^2`` cell
+array of conserved variables; ghost values are filled from neighboring
+leaves (across refinement levels, by sampling the covering leaf's
+cells), domain walls reflect, and the run loop advances with a global
+CFL timestep.  Gradient-based tagging feeds the same 2:1-balanced
+refinement machinery the placement study uses, and per-block kernel
+*times are measured*, so the telemetry-driven cost model can be fed by
+actual computation (see ``examples/blast_hydro.py``).
 
 Scope: first-order accurate, gamma-law gas, non-conservative at
 coarse-fine faces (no flux correction — ghost sampling only), intended
@@ -30,10 +31,9 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex
+from ..mesh.geometry import BlockIndex, block_bounds
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
-from .solver import BlockFieldSolver
 
 __all__ = ["EulerState", "EulerSolver2D", "sod_initial_state", "blast_initial_state"]
 
@@ -108,7 +108,7 @@ def _swap_xy(U: np.ndarray) -> np.ndarray:
     return W
 
 
-class EulerSolver2D(BlockFieldSolver):
+class EulerSolver2D:
     """Block-structured 2D Euler solver with AMR support.
 
     Parameters
@@ -136,7 +136,12 @@ class EulerSolver2D(BlockFieldSolver):
             raise ValueError("cfl out of range (0, 0.8]")
         if stiffness_work < 0:
             raise ValueError("stiffness_work must be >= 0")
-        super().__init__(mesh, cfl)
+        self.mesh = mesh
+        self.cfl = cfl
+        self.nc = mesh.block_cells
+        self.dim = mesh.dim
+        self.data = {}
+        self.time = 0.0
         self.gamma = gamma
         #: extra flux-solve passes on high-gradient blocks, emulating the
         #: iterative kernels of §II-B ("regions with steep gradients may
@@ -146,6 +151,106 @@ class EulerSolver2D(BlockFieldSolver):
         self.stiffness_work = stiffness_work
         #: measured per-block kernel seconds from the last step
         self.kernel_times: Dict[BlockIndex, float] = {}
+
+    @property
+    def data(self) -> Dict[BlockIndex, np.ndarray]:
+        """Interior cell data per leaf, shape ``(nc, nc, NVAR)``; replace
+        it whole, not in place."""
+        return self._data
+
+    @data.setter
+    def data(self, data: Dict[BlockIndex, np.ndarray]) -> None:
+        self._data = data
+        #: finest leaf level: point location probes the forest at it
+        self._finest = max((b.level for b in data), default=0)
+
+    # ------------------------------------------------------------------ #
+    # geometry
+    # ------------------------------------------------------------------ #
+
+    def _geom(self, b: BlockIndex) -> Tuple[np.ndarray, float]:
+        """(lower corner, cell width) of a block in physical units."""
+        lo, hi = block_bounds(b, self.mesh.root, self.mesh.domain_size)
+        return lo, float((hi[0] - lo[0]) / self.nc)
+
+    def _centers(self, b: BlockIndex) -> Tuple[np.ndarray, ...]:
+        """Cell-center coordinate arrays of a block, one per axis."""
+        lo, h = self._geom(b)
+        axes = [lo[k] + (np.arange(self.nc) + 0.5) * h for k in range(self.dim)]
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
+    # ------------------------------------------------------------------ #
+    # point location and ghost fill
+    # ------------------------------------------------------------------ #
+
+    def _locate(self, p: np.ndarray) -> Tuple[BlockIndex, Tuple[int, ...]]:
+        """Leaf and interior cell index containing a (wrapped) point."""
+        domain = np.asarray(self.mesh.domain_size)
+        p = np.array(p, dtype=np.float64)
+        for k in range(self.dim):
+            if self.mesh.root.periodic[k]:
+                p[k] %= domain[k]
+            else:
+                p[k] = min(max(p[k], 0.0), np.nextafter(domain[k], 0.0))
+        ext = np.asarray(self.mesh.root.extent_at(self._finest), dtype=np.float64)
+        width = domain / ext
+        cell = np.minimum((p // width).astype(np.int64), (ext - 1).astype(np.int64))
+        probe = BlockIndex(self._finest, tuple(int(c) for c in cell))
+        leaf = self.mesh.forest.find_covering_leaf(probe)
+        if leaf is None:
+            raise RuntimeError(f"no leaf covers point {tuple(p)}")
+        lo, h = self._geom(leaf)
+        idx = tuple(
+            int(min(max((p[k] - lo[k]) // h, 0), self.nc - 1))
+            for k in range(self.dim)
+        )
+        return leaf, idx
+
+    def _sample(self, *coords: float) -> np.ndarray:
+        """Conserved state of the leaf cell containing a point."""
+        b, idx = self._locate(np.asarray(coords, dtype=np.float64))
+        return self.data[b][idx]
+
+    def _wall(self, face: np.ndarray, axis: int) -> np.ndarray:
+        """Reflective wall: mirror the face, flip the normal momentum."""
+        ghost = face.copy()
+        ghost[..., 1 + axis] *= -1.0
+        return ghost
+
+    def _ghosted(self, b: BlockIndex) -> np.ndarray:
+        """Block data with a one-cell ghost frame filled from neighbors.
+
+        Ghost values sample the covering leaf's cell at the ghost-cell
+        center — piecewise-constant prolongation across coarse-fine
+        interfaces (first-order accurate, matching the scheme's order).
+        Non-periodic domain boundaries take :meth:`_wall` of the adjacent
+        interior plane.  Only face ghost planes are filled: the
+        face-based stencils never read corners.
+        """
+        nc, dim = self.nc, self.dim
+        u = self.data[b]
+        g = np.empty((nc + 2,) * dim + u.shape[dim:], dtype=np.float64)
+        g[(slice(1, -1),) * dim] = u
+        lo, h = self._geom(b)
+        domain = np.asarray(self.mesh.domain_size)
+        face_axes = [lo[k] + (np.arange(nc) + 0.5) * h for k in range(dim)]
+        for axis in range(dim):
+            for coord, ghost_i, copy_i in (
+                (lo[axis] - 0.5 * h, 0, 1),
+                (lo[axis] + (nc + 0.5) * h, nc + 1, nc),
+            ):
+                ghost = tuple(ghost_i if k == axis else slice(1, -1) for k in range(dim))
+                if self.mesh.root.periodic[axis] or 0 <= coord < domain[axis]:
+                    axes = list(face_axes)
+                    axes[axis] = np.array([coord])
+                    grid = np.meshgrid(*axes, indexing="ij")
+                    points = np.stack(grid, axis=-1).reshape(-1, dim)
+                    vals = [self._sample(*p) for p in points]
+                    g[ghost] = np.reshape(vals, g[ghost].shape)
+                else:
+                    face = tuple(copy_i if k == axis else slice(1, -1) for k in range(dim))
+                    g[ghost] = self._wall(g[face], axis)
+        return g
 
     # ------------------------------------------------------------------ #
     # state
@@ -169,7 +274,11 @@ class EulerSolver2D(BlockFieldSolver):
 
     def total_conserved(self) -> np.ndarray:
         """Domain integrals of (mass, x-momentum, y-momentum, energy)."""
-        return self._integral()
+        cells = tuple(range(self.dim))
+        return sum(
+            u.sum(axis=cells) * self._geom(b)[1] ** self.dim
+            for b, u in self.data.items()
+        )
 
     def min_density_pressure(self) -> Tuple[float, float]:
         rho_min = np.inf
@@ -179,12 +288,6 @@ class EulerSolver2D(BlockFieldSolver):
             rho_min = min(rho_min, float(rho.min()))
             p_min = min(p_min, float(p.min()))
         return rho_min, p_min
-
-    def _wall(self, face: np.ndarray, axis: int) -> np.ndarray:
-        """Reflective wall: mirror the face, flip the normal momentum."""
-        ghost = face.copy()
-        ghost[..., 1 + axis] *= -1.0
-        return ghost
 
     # ------------------------------------------------------------------ #
     # time stepping
@@ -238,6 +341,15 @@ class EulerSolver2D(BlockFieldSolver):
         self.data = new
         self.time += dt
         return dt
+
+    def run(self, t_end: float, max_steps: int = 100_000) -> int:
+        """Advance to ``t_end``; returns the number of steps taken."""
+        steps = 0
+        while self.time < t_end - 1e-12 and steps < max_steps:
+            dt = min(self.max_dt(), t_end - self.time)
+            self.step(dt)
+            steps += 1
+        return steps
 
     # ------------------------------------------------------------------ #
     # AMR coupling

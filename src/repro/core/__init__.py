@@ -48,7 +48,6 @@ from .metrics import (
     contiguity_fraction,
     load_stats,
     message_stats,
-    migration_volume,
     normalized_makespan,
 )
 from .policy import (
@@ -110,7 +109,6 @@ __all__ = [
     "makespan_lower_bound",
     "measure_policy",
     "message_stats",
-    "migration_volume",
     "normalized_makespan",
     "register_policy",
     "select_rebalance_ranks",

@@ -1,4 +1,4 @@
-"""Placement quality metrics: load balance, locality, migration cost.
+"""Placement quality metrics: load balance, locality, contiguity.
 
 The paper's two optimization dimensions (§V) are *compute load balance*
 (makespan / per-rank load variance) and *communication locality* (which
@@ -24,7 +24,6 @@ __all__ = [
     "load_stats",
     "message_stats",
     "normalized_makespan",
-    "migration_volume",
     "contiguity_fraction",
     "DEFAULT_MESSAGE_WEIGHTS",
 ]
@@ -206,23 +205,6 @@ def message_stats(
         remote_volume=float(w[remote].sum()),
         remote_tier_volume=remote_tier,
     )
-
-
-def migration_volume(
-    old_assignment: np.ndarray,
-    new_assignment: np.ndarray,
-    block_bytes: float = 1.0,
-) -> float:
-    """Data volume moved by a redistribution (blocks that change rank).
-
-    Every block has the same cell count regardless of level (§II-B), so
-    volume is simply ``moved_blocks * block_bytes``.
-    """
-    old = np.asarray(old_assignment)
-    new = np.asarray(new_assignment)
-    if old.shape != new.shape:
-        raise ValueError("assignments must have equal length to compare")
-    return float((old != new).sum()) * block_bytes
 
 
 def contiguity_fraction(assignment: np.ndarray) -> float:

@@ -77,7 +77,6 @@ class ShardedBlockTable:
         self.columns: Dict[str, ColumnProvider] = dict(columns or {})
         self.peak_shard_bytes = 0
         self.total_bytes = 0
-        self._graph = None
 
     @property
     def n_shards(self) -> int:
@@ -111,47 +110,3 @@ class ShardedBlockTable:
             self.peak_shard_bytes, sum(a.nbytes for a in out.values())
         )
         return out
-
-    # ------------------------------------------------------------------ #
-    # mesh integration
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_graph(cls, graph, shard_blocks: int) -> "ShardedBlockTable":
-        """Shard a :class:`~repro.mesh.neighbors.NeighborGraph`'s block
-        metadata (SFC ids + levels) by contiguous SFC windows; neighbor
-        rows come from :meth:`edge_rows`.
-        """
-        levels = np.asarray([b.level for b in graph.blocks], dtype=np.int64)
-        table = cls(
-            graph.n_blocks,
-            shard_blocks=shard_blocks,
-            columns={
-                "sfc_id": lambda s, lo, hi: np.arange(lo, hi, dtype=np.int64),
-                "level": lambda s, lo, hi: levels[lo:hi],
-            },
-        )
-        table._graph = graph
-        return table
-
-    def edge_rows(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Neighbor-graph edge rows owned by one shard (``edges, kinds``).
-
-        An edge ``a < b`` is owned by the shard containing ``a``; since
-        the edge array is sorted by ``a * n + b`` the owned rows are one
-        contiguous slice found by binary search — O(shard edges) output
-        without touching the rest of the array.
-        """
-        graph = getattr(self, "_graph", None)
-        if graph is None:
-            raise ValueError("edge_rows requires a table built via from_graph")
-        lo, hi = self.shard_bounds(shard)
-        a = graph.edges[:, 0]
-        i0, i1 = np.searchsorted(a, [lo, hi])
-        edges = graph.edges[i0:i1]
-        kinds = graph.kinds[i0:i1]
-        self.total_bytes += edges.nbytes + kinds.nbytes
-        self.peak_shard_bytes = max(
-            self.peak_shard_bytes, edges.nbytes + kinds.nbytes
-        )
-        return edges, kinds

@@ -7,9 +7,8 @@ completed cells from disk and executes only the remainder — merging
 bit-identically with the uninterrupted run (cells are deterministic
 given their item, so a replayed result equals a recomputed one).
 
-Layout (under the journal root, in the ``DirectoryCheckpointStore``
-durability style — staged temp file, fsync, rename-into-place, fsync of
-the containing directory):
+Layout (under the journal root; every file is staged to a temp file,
+fsynced, renamed into place, and its directory fsynced):
 
 * ``sweep-<key>/`` — one directory per sweep *content key*: a SHA-256
   over the cell function's qualified name and every item's repr, so a

@@ -22,7 +22,6 @@ the detectors offline; this package closes the loop *online*:
 
 from .checkpoint import (
     CheckpointStore,
-    DirectoryCheckpointStore,
     DriverCheckpoint,
     MemoryCheckpointStore,
 )
@@ -39,7 +38,6 @@ from .monitor import HealthMonitor
 __all__ = [
     "CheckpointStore",
     "DEFAULT_CHAIN",
-    "DirectoryCheckpointStore",
     "DriverCheckpoint",
     "GuardEvent",
     "GuardedPolicy",

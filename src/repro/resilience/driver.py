@@ -133,9 +133,7 @@ def run_resilient_trajectory(
     ``config.faults``, making this a strict superset of
     :func:`~repro.amr.driver.run_trajectory` semantics (modulo the
     deterministic lb charge).  ``store`` defaults to an in-memory
-    checkpoint store; pass a
-    :class:`~repro.resilience.checkpoint.DirectoryCheckpointStore` to
-    exercise the on-disk format.  ``hooks`` appends extra
+    checkpoint store.  ``hooks`` appends extra
     :class:`repro.engine.EpochHook` instances after the resilience
     stack (e.g. a :class:`repro.engine.PhaseProfilerHook`).
     """

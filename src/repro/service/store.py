@@ -23,10 +23,9 @@ Layout under the store root (the ``repro serve --state DIR`` flag)::
 Every record file is ``{"magic", "crc32", "payload"}`` where
 ``payload`` is the canonical JSON of the record and ``crc32`` covers
 its bytes — a truncated or bit-flipped file fails verification and is
-treated as torn.  Writes stage to a temp file, fsync, rename into
-place, and fsync the directory (the ``DirectoryCheckpointStore``
-durability recipe), so the commit point of every state transition is a
-single atomic rename.
+treated as torn.  Writes stage to a temp file, fsync it, rename it into
+place, and fsync the directory, so the commit point of every state
+transition is a single atomic rename.
 
 Lifecycle states are **monotonic** within a server process::
 

@@ -110,23 +110,6 @@ class FaultModel:
             return cluster
         return cluster.throttle_nodes(bad)
 
-    def ack_stall_expectation(
-        self, remote_sends_per_rank: np.ndarray, drain_queue: bool
-    ) -> np.ndarray:
-        """Expected per-rank sender stall per step from ACK recovery.
-
-        With the drain queue enabled the stall is eliminated (requests
-        drain in the background); otherwise each remote send stalls its
-        sender with probability ``ack_loss_prob`` for ``ack_recovery_s``.
-        """
-        if drain_queue or self.ack_loss_prob == 0.0:
-            return np.zeros_like(np.asarray(remote_sends_per_rank, dtype=np.float64))
-        return (
-            np.asarray(remote_sends_per_rank, dtype=np.float64)
-            * self.ack_loss_prob
-            * self.ack_recovery_s
-        )
-
     def sample_ack_stalls(
         self,
         remote_sends_per_rank: np.ndarray,

@@ -26,7 +26,6 @@ from .anomaly import (
 )
 from .collector import TelemetryCollector
 from .dataset import Predicate, TelemetryDataset
-from .triggers import TriggerRule, TriggerSet, TriggeredCollector
 from .columnar import (
     ColumnTable,
     CorruptTelemetryError,
@@ -54,7 +53,6 @@ from .plan import (
     Sort,
     optimize,
 )
-from .tracefmt import EventTrace, TraceEvent, trace_to_table
 from .query import AGGREGATES, Query, sql, sql_query
 from .report import Finding, RunReport, diagnose
 from .schema import EPOCH_SCHEMA, RANK_STEP_SCHEMA
@@ -77,18 +75,12 @@ __all__ = [
     "Sort",
     "WindowConfig",
     "assess_window",
-    "EventTrace",
     "PhaseComparison",
     "RunComparison",
-    "TraceEvent",
     "compare_runs",
-    "trace_to_table",
     "PhaseBreakdown",
     "Predicate",
     "TelemetryDataset",
-    "TriggerRule",
-    "TriggerSet",
-    "TriggeredCollector",
     "Query",
     "Finding",
     "RunReport",

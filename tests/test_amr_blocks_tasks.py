@@ -5,7 +5,6 @@ import pytest
 
 from repro.amr import (
     BlockCostTracker,
-    MeshBlock,
     TaskGraph,
     TaskKind,
     build_exchange_graph,
@@ -58,14 +57,6 @@ class TestCostTracker:
         blocks = [BlockIndex(0, (i, 0)) for i in range(3)]
         t.observe_all(blocks, np.array([1.0, 2.0, 3.0]))
         assert t.estimates(blocks).tolist() == [1.0, 2.0, 3.0]
-
-
-class TestMeshBlock:
-    def test_defaults(self):
-        b = MeshBlock(BlockIndex(2, (1, 2, 3)), block_id=7)
-        assert b.level == 2
-        assert b.cost == 1.0  # the framework default the paper calls out
-        assert b.rank == -1
 
 
 class TestTaskGraph:

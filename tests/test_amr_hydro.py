@@ -9,7 +9,7 @@ from repro.amr.hydro import (
     blast_initial_state,
     sod_initial_state,
 )
-from repro.mesh import AmrMesh, RootGrid
+from repro.mesh import AmrMesh, RefinementTags, RootGrid
 
 
 def strip_mesh(nx=8, cells=16):
@@ -51,14 +51,17 @@ class TestBasics:
 
 class TestUniformGasSanity:
     def test_uniform_state_is_steady(self):
-        s = EulerSolver2D(square_mesh())
-        s.initialize(lambda x, y: (np.ones_like(x), np.zeros_like(x),
-                                   np.zeros_like(x), np.ones_like(x)))
-        U0 = {b: u.copy() for b, u in s.data.items()}
-        for _ in range(5):
-            s.step(0.001)
-        for b, u in s.data.items():
-            assert np.allclose(u, U0[b], atol=1e-12)
+        refined = square_mesh(n=2, max_level=2)
+        refined.remesh(RefinementTags(refine={refined.blocks[0]}))
+        for mesh in (square_mesh(), refined):   # refined: coarse-fine ghosts
+            s = EulerSolver2D(mesh)
+            s.initialize(lambda x, y: (np.ones_like(x), np.zeros_like(x),
+                                       np.zeros_like(x), np.ones_like(x)))
+            U0 = {b: u.copy() for b, u in s.data.items()}
+            for _ in range(5):
+                s.step(0.001)
+            for b, u in s.data.items():
+                assert np.allclose(u, U0[b], atol=1e-12)
 
     def test_conservation_with_reflective_walls(self):
         s = EulerSolver2D(strip_mesh())

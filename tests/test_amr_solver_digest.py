@@ -1,32 +1,27 @@
-"""Pinned solver states: one SHA-256 over five block-solver runs.
+"""Pinned solver states: one SHA-256 over two Euler solver runs.
 
-Refactors of :mod:`repro.amr.solver` and :mod:`repro.amr.hydro` must
-keep every cell value bit for bit.  This test runs five scenarios that
-between them exercise every ghost-fill path (periodic wrap, coarse-fine
-sampling, outflow walls, reflective walls, 3-D faces) and the Euler
-solver's remesh transfer, then hashes the final ``data`` of each run
-(blocks in SFC order) together with its ``time``.
+Refactors of :mod:`repro.amr.hydro` must keep every cell value bit for
+bit.  This test runs two scenarios that between them exercise every
+ghost-fill path of the solver (periodic wrap, coarse-fine sampling,
+reflective walls) and its remesh transfer, then hashes the final
+``data`` of each run (blocks in SFC order) together with its ``time``.
 
 Every initial state is built from arithmetic and ``sqrt`` only, so the
 digest does not depend on how a CPU rounds transcendental functions.
-The constant was recorded before the two solvers shared a base class; a
-mismatch means some cell value moved.
+The constant was recorded on the code before the block-field base class
+was folded into :class:`~repro.amr.hydro.EulerSolver2D`; a mismatch
+means some cell value moved.
 """
 
 import hashlib
 
 import numpy as np
 
-from repro.amr import (
-    AdvectionSolver,
-    EulerSolver2D,
-    blast_initial_state,
-    sod_initial_state,
-)
-from repro.mesh import AmrMesh, RefinementTags, RootGrid
+from repro.amr import EulerSolver2D, blast_initial_state, sod_initial_state
+from repro.mesh import AmrMesh, RootGrid
 
-#: SHA-256 over all scenarios below, recorded on the pre-refactor code.
-EXPECTED_DIGEST = "c60785ddf93a822b76d6e5353e9ef217ba2e47e5f74e26365295da16d05dc31a"
+#: SHA-256 over both scenarios below, recorded on the pre-fold code.
+EXPECTED_DIGEST = "37ffd050d3692c7b064c897bfc1391c4e17845a581391b465784a90a78e3aa67"
 
 
 def _euler_adaptive_blast():
@@ -52,43 +47,9 @@ def _euler_sod_periodic_x():
     return s
 
 
-def _advection_refined_periodic_2d():
-    mesh = AmrMesh(RootGrid((2, 2), periodic=(True, True)), block_cells=8,
-                   max_level=2, domain_size=(1.0, 1.0))
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-    s = AdvectionSolver(mesh, velocity=(0.8, -0.4))
-    s.initialize(lambda x, y: x * (1.0 - x) + 0.5 * y * y)
-    s.run(0.1)
-    return s
-
-
-def _advection_outflow_2d():
-    mesh = AmrMesh(RootGrid((2, 2)), block_cells=8, max_level=1,
-                   domain_size=(1.0, 1.0))
-    mesh.remesh(RefinementTags(refine={mesh.blocks[-1]}))
-    s = AdvectionSolver(mesh, velocity=(-0.7, 0.6))
-    s.initialize(lambda x, y: np.where(x + y < 0.9, 1.0 + x * y, 0.25))
-    s.run(0.2)
-    return s
-
-
-def _advection_refined_3d():
-    mesh = AmrMesh(RootGrid((2, 2, 2), periodic=(True,) * 3), block_cells=4,
-                   max_level=1, domain_size=(1.0, 1.0, 1.0))
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-    s = AdvectionSolver(mesh, velocity=(0.5, -0.3, 0.2))
-    s.initialize(lambda x, y, z: np.sqrt(1.0 + x * x + y * z))
-    for _ in range(4):
-        s.step()
-    return s
-
-
 SCENARIOS = (
     ("euler-adaptive-blast", _euler_adaptive_blast),
     ("euler-sod-periodic-x", _euler_sod_periodic_x),
-    ("advection-refined-periodic-2d", _advection_refined_periodic_2d),
-    ("advection-outflow-2d", _advection_outflow_2d),
-    ("advection-refined-3d", _advection_refined_3d),
 )
 
 

@@ -149,6 +149,14 @@ def _probes(mesh, rng):
     return blocks + extra
 
 
+def _state_dict(state):
+    """A tracker's (keys, values) state as the dict model's table."""
+    keys, vals = state
+    assert keys.dtype == np.int64 and vals.dtype == np.float64
+    assert (np.diff(keys) > 0).all()
+    return dict(zip(unpack_block_keys(keys), vals.tolist()))
+
+
 class TestTrackerParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dict_model_across_remeshes(self, seed):
@@ -174,7 +182,7 @@ class TestTrackerParity:
             )
             assert len(arr) == len(ref.est)
             _random_remesh(mesh, rng)
-        assert arr.state() == ref.est
+        assert _state_dict(arr.state()) == ref.est
 
     def test_coarsened_block_reappears_with_its_history(self):
         parent = BlockIndex(1, (1, 1))
@@ -201,12 +209,15 @@ class TestTrackerParity:
             arr.observe_all(mesh.blocks, measured)
             _random_remesh(mesh, rng)
         state = arr.state()
-        assert state == ref.est
-        assert all(type(v) is float for v in state.values())
+        assert _state_dict(state) == ref.est
         restored = BlockCostTracker()
         restored.load_state(state)
         assert len(restored) == len(arr)
-        assert restored.state() == state
+        state[1][:] = -1.0          # the restored table owns its arrays
+        assert _state_dict(restored.state()) == ref.est
+        # state() hands out copies: mutating one leaves the tracker intact
+        arr.state()[1][:] = -1.0
+        assert _state_dict(arr.state()) == ref.est
         measured = rng.exponential(1.0, size=mesh.n_blocks)
         for t in (ref, arr, restored):
             t.observe_all(mesh.blocks, measured)
@@ -219,9 +230,9 @@ class TestTrackerParity:
         arr = BlockCostTracker()
         arr.observe_all(blocks, [1.0, 2.0, 3.0, 4.0])
         arr.forget_except({blocks[1], blocks[3]})
-        assert arr.state() == {blocks[1]: 2.0, blocks[3]: 4.0}
+        assert _state_dict(arr.state()) == {blocks[1]: 2.0, blocks[3]: 4.0}
         arr.forget_except(block_keys([blocks[3]]))
-        assert arr.state() == {blocks[3]: 4.0}
+        assert _state_dict(arr.state()) == {blocks[3]: 4.0}
 
     def test_bad_measurements_rejected(self):
         arr = BlockCostTracker()

@@ -13,7 +13,6 @@ from repro.core import (
     load_stats,
     measure_policy,
     message_stats,
-    migration_volume,
     normalized_makespan,
     within_budget,
 )
@@ -78,18 +77,6 @@ class TestMessageStats:
         assert ms.mpi_visible == 0
         assert ms.remote_fraction == 0.0
         assert ms.intra_rank == 3
-
-
-class TestMigration:
-    def test_counts_moves(self):
-        old = np.array([0, 0, 1, 1])
-        new = np.array([0, 1, 1, 0])
-        assert migration_volume(old, new) == 2.0
-        assert migration_volume(old, new, block_bytes=100.0) == 200.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            migration_volume(np.zeros(3), np.zeros(4))
 
 
 class TestContiguity:

@@ -107,13 +107,13 @@ class TestBadPolicyInputs:
 class TestSolverMisuse:
     def test_mesh_mutation_without_state_transfer_detected(self):
         """Remeshing behind the solver's back must fail loudly."""
-        from repro.amr import AdvectionSolver
+        from repro.amr import EulerSolver2D, sod_initial_state
         from repro.mesh import AmrMesh, RefinementTags, RootGrid
 
         mesh = AmrMesh(RootGrid((2, 2), periodic=(True, True)), block_cells=4,
                        max_level=1)
-        s = AdvectionSolver(mesh)
-        s.initialize(lambda x, y: x)
+        s = EulerSolver2D(mesh)
+        s.initialize(sod_initial_state())
         mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
         with pytest.raises((KeyError, RuntimeError)):
             s.step()  # solver data lacks the new leaves

@@ -91,6 +91,19 @@ class TestQueries:
         assert f.find_covering_leaf(BlockIndex(0, (5, 5))) is None
         # Region of an internal node (refined) -> None.
         assert f.find_covering_leaf(b) is None
+        # Refined 3-d forest: every finest-level cell resolves to the one
+        # leaf that contains it.
+        f3 = OctreeForest(RootGrid((2, 2, 2)), max_level=2)
+        f3.refine(f3.refine(BlockIndex(0, (1, 0, 1)))[3])
+        covered = {leaf: 0 for leaf in f3.leaves()}
+        for x in range(8):
+            for y in range(8):
+                for z in range(8):
+                    leaf = f3.find_covering_leaf(BlockIndex(2, (x, y, z)))
+                    assert all(c >> (2 - leaf.level) == lc
+                               for c, lc in zip((x, y, z), leaf.coords))
+                    covered[leaf] += 1
+        assert covered == {leaf: 8 ** (2 - leaf.level) for leaf in covered}
 
     def test_from_leaves_validates(self):
         root = RootGrid((2, 2))

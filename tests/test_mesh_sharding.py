@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import RefinementTags, ShardedBlockTable
-
-from tests.helpers import warmed_mesh
+from repro.mesh import ShardedBlockTable
 
 
 # ---------------------------------------------------------------------- #
@@ -61,30 +59,6 @@ class TestShardedBlockTable:
         # peak = one shard's working set; total = every byte produced
         assert t.peak_shard_bytes == 4 * 16
         assert t.total_bytes == 12 * 16
-
-    def test_from_graph_edge_rows_cover_graph(self):
-        mesh = warmed_mesh((2, 2), (True, True))
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-        graph = mesh.neighbor_graph
-        table = ShardedBlockTable.from_graph(graph, shard_blocks=3)
-        seen_edges, seen_kinds = [], []
-        for s in range(table.n_shards):
-            lo, hi = table.shard_bounds(s)
-            edges, kinds = table.edge_rows(s)
-            assert np.all((edges[:, 0] >= lo) & (edges[:, 0] < hi))
-            assert np.array_equal(
-                table.column(s, "level"),
-                np.asarray([b.level for b in graph.blocks[lo:hi]]),
-            )
-            seen_edges.append(edges)
-            seen_kinds.append(kinds)
-        assert np.array_equal(np.concatenate(seen_edges), graph.edges)
-        assert np.array_equal(np.concatenate(seen_kinds), graph.kinds)
-
-    def test_edge_rows_requires_graph(self):
-        t = ShardedBlockTable(4, shard_blocks=2)
-        with pytest.raises(ValueError):
-            t.edge_rows(0)
 
 
 # ---------------------------------------------------------------------- #

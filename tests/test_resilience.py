@@ -10,10 +10,8 @@ import pytest
 from repro.amr.driver import DriverConfig, run_trajectory
 from repro.core.policy import PlacementPolicy, get_policy
 from repro.resilience import (
-    DirectoryCheckpointStore,
     GuardedPolicy,
     HealthMonitor,
-    MemoryCheckpointStore,
     MitigationEngine,
     ResilienceConfig,
     UNMITIGATED,
@@ -33,7 +31,6 @@ from repro.simnet.faults import (
     ThrottleOnset,
 )
 from repro.simnet.tuning import TUNED
-from repro.telemetry import CorruptTelemetryError
 from repro.telemetry.anomaly import detect_throttled_nodes, detect_wait_spikes
 
 
@@ -283,139 +280,17 @@ class TestGuardedPolicy:
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint stores
+# Resilient driver behaviour
 # --------------------------------------------------------------------- #
 
 
-def _crashy_run(epochs, cluster, store=None, **res_kw):
+def _crashy_run(epochs, cluster, **res_kw):
     tl = FaultTimeline(events=(NodeCrash(step=90, node=1),))
     res = ResilienceConfig(checkpoint_interval_epochs=2, **res_kw)
     return run_resilient_trajectory(
         "lpt", epochs, cluster, DriverConfig(seed=3),
-        resilience=res, timeline=tl, store=store,
+        resilience=res, timeline=tl,
     )
-
-
-class TestCheckpointStores:
-    def test_directory_store_roundtrip_matches_memory(
-        self, tmp_path, epochs128, cluster128
-    ):
-        s_mem = _crashy_run(epochs128, cluster128, MemoryCheckpointStore())
-        s_disk = _crashy_run(
-            epochs128, cluster128, DirectoryCheckpointStore(tmp_path / "ck")
-        )
-        assert s_mem.n_restores == s_disk.n_restores == 1
-        assert s_mem.wall_s == s_disk.wall_s
-        assert s_mem.phase_rank_seconds == s_disk.phase_rank_seconds
-
-    def test_directory_store_persists_files(self, tmp_path, epochs128, cluster128):
-        store = DirectoryCheckpointStore(tmp_path / "ck")
-        _crashy_run(epochs128, cluster128, store)
-        snaps = sorted((tmp_path / "ck").glob("ckpt-*"))
-        assert snaps, "no snapshot directories written"
-        assert (snaps[-1] / "meta.json").exists()
-        assert (snaps[-1] / "steps.rprc").exists()
-        ckpt = store.load()
-        assert ckpt is not None
-        assert ckpt.assignment is not None
-        assert ckpt.tables["steps"].n_rows > 0
-
-    def test_rotation_keeps_newest(self, tmp_path, epochs128, cluster128):
-        store = DirectoryCheckpointStore(tmp_path / "ck", keep=2)
-        _crashy_run(epochs128, cluster128, store)
-        assert store.n_saved > 2
-        snaps = sorted((tmp_path / "ck").glob("ckpt-*"))
-        assert len(snaps) == 2
-
-    def test_empty_store_loads_none(self, tmp_path):
-        assert DirectoryCheckpointStore(tmp_path / "none").load() is None
-
-    def _newest_snapshot(self, root):
-        return sorted(root.glob("ckpt-*"))[-1]
-
-    def test_corrupt_newest_falls_back_to_older_good(
-        self, tmp_path, epochs128, cluster128
-    ):
-        store = DirectoryCheckpointStore(tmp_path / "ck", keep=3)
-        _crashy_run(epochs128, cluster128, store)
-        snaps = sorted((tmp_path / "ck").glob("ckpt-*"))
-        assert len(snaps) >= 2
-        good = store.load()
-        (snaps[-1] / "meta.json").write_text("{not json")
-        fallback = store.load()
-        assert fallback is not None
-        assert fallback.epoch_index < good.epoch_index
-
-    def test_all_corrupt_raises_specific_error(
-        self, tmp_path, epochs128, cluster128
-    ):
-        store = DirectoryCheckpointStore(tmp_path / "ck")
-        _crashy_run(epochs128, cluster128, store)
-        for snap in (tmp_path / "ck").glob("ckpt-*"):
-            (snap / "meta.json").write_text("{not json")
-        with pytest.raises(CorruptTelemetryError):
-            store.load()
-
-    def test_meta_tamper_detected_by_digest(
-        self, tmp_path, epochs128, cluster128
-    ):
-        import json
-
-        store = DirectoryCheckpointStore(tmp_path / "ck", keep=1)
-        _crashy_run(epochs128, cluster128, store)
-        snap = self._newest_snapshot(tmp_path / "ck")
-        meta = json.loads((snap / "meta.json").read_text())
-        meta["total_steps"] = meta["total_steps"] + 1   # silent bit-flip
-        (snap / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(CorruptTelemetryError, match="digest"):
-            store.load()
-
-    def test_version_mismatch_rejected(self, tmp_path, epochs128, cluster128):
-        import json
-
-        from repro.resilience.checkpoint import _meta_digest
-
-        store = DirectoryCheckpointStore(tmp_path / "ck", keep=1)
-        _crashy_run(epochs128, cluster128, store)
-        snap = self._newest_snapshot(tmp_path / "ck")
-        meta = json.loads((snap / "meta.json").read_text())
-        meta["version"] = 99
-        meta["digest"] = _meta_digest(meta)   # re-seal: isolate version check
-        (snap / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(CorruptTelemetryError, match="version"):
-            store.load()
-
-    def test_truncated_table_falls_back(self, tmp_path, epochs128, cluster128):
-        store = DirectoryCheckpointStore(tmp_path / "ck", keep=3)
-        _crashy_run(epochs128, cluster128, store)
-        snaps = sorted((tmp_path / "ck").glob("ckpt-*"))
-        assert len(snaps) >= 2
-        steps = snaps[-1] / "steps.rprc"
-        steps.write_bytes(steps.read_bytes()[:-32])
-        fallback = store.load()
-        assert fallback is not None
-
-    def test_resumes_numbering_from_existing(self, tmp_path, epochs128, cluster128):
-        store = DirectoryCheckpointStore(tmp_path / "ck")
-        _crashy_run(epochs128, cluster128, store)
-        newest = self._newest_snapshot(tmp_path / "ck").name
-        again = DirectoryCheckpointStore(tmp_path / "ck")
-        assert again._next_id == int(newest.split("-")[1]) + 1
-
-    def test_rng_state_roundtrip(self, tmp_path):
-        from repro.resilience.checkpoint import _jsonable_rng, _rng_from_json
-
-        rng = np.random.default_rng(42)
-        rng.normal(size=100)
-        state = _rng_from_json(_jsonable_rng(rng.bit_generator.state))
-        other = np.random.default_rng(0)
-        other.bit_generator.state = state
-        assert (rng.normal(size=10) == other.normal(size=10)).all()
-
-
-# --------------------------------------------------------------------- #
-# Resilient driver behaviour
-# --------------------------------------------------------------------- #
 
 
 class TestResilientDriver:

@@ -218,14 +218,6 @@ class TestFaults:
         sick = FaultModel(throttled_node_fraction=0.01).apply_to_cluster(c)
         assert len(sick.unhealthy_nodes()) == 1
 
-    def test_ack_stall_expectation(self):
-        fm = FaultModel(ack_loss_prob=0.01, ack_recovery_s=0.1)
-        sends = np.array([10.0, 0.0])
-        exp = fm.ack_stall_expectation(sends, drain_queue=False)
-        assert exp[0] == pytest.approx(0.01)
-        assert exp[1] == 0.0
-        assert (fm.ack_stall_expectation(sends, drain_queue=True) == 0).all()
-
     def test_sampled_stalls_zero_with_drain_queue(self):
         fm = FaultModel(ack_loss_prob=0.5)
         rng = np.random.default_rng(0)

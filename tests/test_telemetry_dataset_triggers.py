@@ -1,4 +1,4 @@
-"""Tests for partitioned datasets (pushdown) and telemetry triggers."""
+"""Tests for partitioned datasets (pushdown)."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.telemetry import (
     ColumnTable,
     Predicate,
-    TelemetryCollector,
     TelemetryDataset,
-    TriggerRule,
-    TriggerSet,
-    TriggeredCollector,
 )
 
 
@@ -80,86 +76,3 @@ class TestDataset:
         ds = TelemetryDataset.create(tmp_path / "ds")
         ds.append(part(0))
         assert ds.pruned_partitions([Predicate("zzz", lo=0)]) == []
-
-
-class TestTriggerRules:
-    def phases(self, comm_max=0.001):
-        return {
-            "compute_s": np.full(4, 0.1),
-            "comm_s": np.array([0.0005, 0.0003, comm_max, 0.0002]),
-            "sync_s": np.zeros(4),
-        }
-
-    def test_phase_above(self):
-        rule = TriggerRule.phase_above("comm_s", 0.01)
-        assert not rule.fn(0, self.phases(0.001))
-        assert rule.fn(0, self.phases(0.05))
-
-    def test_imbalance_above(self):
-        rule = TriggerRule.imbalance_above("compute_s", 2.0)
-        ph = self.phases()
-        assert not rule.fn(0, ph)
-        ph["compute_s"] = np.array([0.1, 0.1, 0.5, 0.1])
-        assert rule.fn(0, ph)
-
-    def test_every(self):
-        rule = TriggerRule.every(10)
-        fires = [s for s in range(25) if rule.fn(s, self.phases())]
-        assert fires == [0, 10, 20]
-        with pytest.raises(ValueError):
-            TriggerRule.every(0)
-
-    def test_trigger_set_counts(self):
-        ts = TriggerSet([TriggerRule.every(2), TriggerRule.phase_above("comm_s", 99)])
-        for s in range(4):
-            ts.evaluate(s, self.phases())
-        assert ts.fire_counts["every-2"] == 2
-        assert ts.fire_counts["comm_s>99s"] == 0
-
-
-class TestTriggeredCollector:
-    def make(self, pre=2, post=1, threshold=0.04):
-        coll = TelemetryCollector(4, 4)
-        ts = TriggerSet([TriggerRule.phase_above("comm_s", threshold)])
-        return TriggeredCollector(coll, ts, pre_steps=pre, post_steps=post), coll
-
-    def feed(self, tc, spike_steps, n_steps=30):
-        for s in range(n_steps):
-            comm = np.full(4, 0.001)
-            if s in spike_steps:
-                comm[2] = 0.1
-            tc.observe(s, 0, np.full(4, 0.1), comm, np.zeros(4))
-
-    def test_captures_spike_with_context(self):
-        tc, coll = self.make(pre=2, post=1)
-        self.feed(tc, spike_steps={10})
-        steps = sorted(set(coll.steps_table()["step"].tolist()))
-        assert steps == [8, 9, 10, 11]  # 2 pre + spike + 1 post
-        assert tc.reduction_ratio > 0.8
-
-    def test_quiet_run_records_nothing(self):
-        tc, coll = self.make()
-        self.feed(tc, spike_steps=set())
-        assert coll.steps_table().n_rows == 0
-        assert tc.reduction_ratio == 1.0
-
-    def test_adjacent_spikes_no_duplicates(self):
-        tc, coll = self.make(pre=1, post=1)
-        self.feed(tc, spike_steps={5, 6})
-        steps = coll.steps_table()["step"].tolist()
-        # Each recorded step appears exactly once per rank set.
-        per_step = {s: steps.count(s) for s in set(steps)}
-        assert all(v == 4 for v in per_step.values())
-        assert sorted(set(steps)) == [4, 5, 6, 7]
-
-    def test_periodic_background_sampling(self):
-        coll = TelemetryCollector(4, 4)
-        tc = TriggeredCollector(coll, TriggerSet([TriggerRule.every(10)]),
-                                pre_steps=0, post_steps=0)
-        self.feed(tc, spike_steps=set())
-        assert sorted(set(coll.steps_table()["step"].tolist())) == [0, 10, 20]
-
-    def test_validation(self):
-        coll = TelemetryCollector(4, 4)
-        with pytest.raises(ValueError):
-            TriggeredCollector(coll, TriggerSet([]), pre_steps=-1)

@@ -1,80 +1,9 @@
-"""Tests for the trace format bridge and statistical run comparison."""
+"""Tests for statistical run comparison and neighbor-graph structure."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry import (
-    ColumnTable,
-    EventTrace,
-    compare_runs,
-    trace_to_table,
-)
-
-
-class TestEventTrace:
-    def test_record_and_roundtrip(self, tmp_path):
-        tr = EventTrace()
-        tr.record_region(0, "compute", 0.0, 1.5, step=3)
-        tr.record_region(1, "mpi_wait", 0.2, 0.4, step=3)
-        p = tmp_path / "trace.jsonl"
-        tr.write_jsonl(p)
-        back = EventTrace.read_jsonl(p)
-        assert len(back) == 4
-        assert back.events[0].kind == "ENTER"
-        assert back.events[0].meta["step"] == 3
-
-    def test_region_time_order_enforced(self):
-        with pytest.raises(ValueError):
-            EventTrace().record_region(0, "compute", 1.0, 0.5, step=0)
-
-
-class TestTraceToTable:
-    def test_phase_attribution(self):
-        tr = EventTrace()
-        tr.record_region(0, "compute", 0.0, 1.0, step=0)
-        tr.record_region(0, "boundary_exchange", 1.0, 1.3, step=0)
-        tr.record_region(0, "mpi_wait", 1.3, 1.4, step=0)
-        tr.record_region(0, "mpi_allreduce", 1.4, 2.0, step=0)
-        tr.record_region(0, "redistribution", 2.0, 2.1, step=0)
-        t = trace_to_table(tr)
-        assert t.n_rows == 1
-        assert t["compute_s"][0] == pytest.approx(1.0)
-        assert t["comm_s"][0] == pytest.approx(0.4)   # exchange + wait
-        assert t["sync_s"][0] == pytest.approx(0.6)
-        assert t["lb_s"][0] == pytest.approx(0.1)
-
-    def test_multiple_steps_and_ranks_sorted(self):
-        tr = EventTrace()
-        for step in (1, 0):
-            for rank in (1, 0):
-                tr.record_region(rank, "compute", 0.0, 1.0 + rank, step=step)
-        t = trace_to_table(tr)
-        assert t["step"].tolist() == [0, 0, 1, 1]
-        assert t["rank"].tolist() == [0, 1, 0, 1]
-
-    def test_unknown_region_rejected(self):
-        tr = EventTrace()
-        tr.record_region(0, "quantum_flux", 0.0, 1.0, step=0)
-        with pytest.raises(ValueError, match="unknown region"):
-            trace_to_table(tr)
-
-    def test_unpaired_leave_rejected(self):
-        tr = EventTrace()
-        tr.leave(0, "compute", 1.0, step=0)
-        with pytest.raises(ValueError, match="LEAVE without ENTER"):
-            trace_to_table(tr)
-
-    def test_unclosed_region_rejected(self):
-        tr = EventTrace()
-        tr.enter(0, "compute", 0.0, step=0)
-        with pytest.raises(ValueError, match="unclosed"):
-            trace_to_table(tr)
-
-    def test_missing_step_metadata_rejected(self):
-        tr = EventTrace()
-        tr.enter(0, "compute", 0.0)
-        with pytest.raises(ValueError, match="missing step"):
-            trace_to_table(tr)
+from repro.telemetry import ColumnTable, compare_runs
 
 
 class TestCompareRuns:
