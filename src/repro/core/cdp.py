@@ -14,7 +14,8 @@ Three solvers are provided:
   :func:`cdp_restricted_zones`, which solves many independent zones
   (chunked CDP's) in one vectorized row loop: one row per rank of the
   largest zone, four ufunc calls per row over a ``(zones, e + 1)``
-  state, so the interpreter work no longer grows with the zone count.
+  state, then a scalar backtrack of one step per rank, so the ufunc
+  count no longer grows with the zone count.
 * :func:`cdp_full` — the unrestricted ``O(n^2 r)`` DP; exact but too slow
   for large meshes.  Kept for the ablation of the restriction.
 * :func:`cdp_optimal_makespan` — exact optimal contiguous makespan via
@@ -87,9 +88,14 @@ def cdp_restricted_zones(
     on the last row: a zone with fewer ranks starts later, and its
     leading rows carry a floor segment of ``-inf`` and a ceil segment of
     ``+inf``, which leave its state unchanged.  Each row costs four
-    ufunc calls (floor candidate, ceil candidate, strict ``ceil < floor``
-    tie-break, select), so the interpreter work is ``O(max r)`` however
-    many zones run; the arithmetic is ``O(zones * max r * max e)``.
+    ufunc calls (floor candidate, ceil candidate, the strict
+    ``ceil < floor`` choice, and their minimum as the new state, which
+    is the ceil candidate exactly where the choice took it), so the
+    ufunc count is ``O(max r)`` however many zones run; the arithmetic
+    is ``O(zones * max r * max e)``.  The choices are then walked back
+    one zone at a time with Python ints, ``r`` table reads per zone of
+    ``r`` ranks (``O(total ranks)`` scalar steps; fancy indexing over
+    a handful of zones per row cost more).
     Zones are batched so that no batch's tables outgrow
     :data:`_BATCH_BYTES` (a zone too large on its own runs alone).
 
@@ -141,9 +147,7 @@ def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
     """Counts of each ``(_, block_lo, n, r, f, e)`` zone with ``e > 0``."""
     n_z = len(zones)
     ranks = [z[3] for z in zones]
-    floors = np.asarray([z[4] for z in zones], dtype=np.int64)
-    extras = np.asarray([z[5] for z in zones], dtype=np.int64)
-    rows, width = max(ranks), int(extras.max()) + 1
+    rows, width = max(ranks), max(z[5] for z in zones) + 1
     # Per zone, rank-by-state views over its own prefix sum (slicing a
     # global one rounds differently): segment start, floor end, ceil end.
     # The prefix tail is padded with its last value so that the columns
@@ -165,6 +169,9 @@ def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
     dp[:, 0] = 0.0
     cand_f = np.empty_like(dp)
     cand_c = np.full_like(dp, np.inf)
+    # Views reused by every row: the states a ceil segment leaves (of
+    # both state buffers, which swap each row) and the ones it enters.
+    dp_head, cand_f_head, cand_c_tail = dp[:, :-1], cand_f[:, :-1], cand_c[:, 1:]
     choice = np.empty((rows, n_z, width), dtype=bool)
     seg_f = np.empty((min(rows, _TABLE_ROWS), n_z, width))
     seg_c = np.empty((min(rows, _TABLE_ROWS), n_z, width - 1))
@@ -180,24 +187,28 @@ def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
             u0, u1 = u + pad, u + h
             np.subtract(end_f[u0:u1], start[u0:u1], out=seg_f[pad:h, z])
             np.subtract(end_c[u0:u1], start[u0:u1, :-1], out=seg_c[pad:h, z])
-        for t in range(h):
-            took_ceil = choice[t0 + t]
-            np.maximum(dp, seg_f[t], out=cand_f)
-            np.maximum(dp[:, :-1], seg_c[t], out=cand_c[:, 1:])
+        for took_ceil, sf, sc in zip(choice[t0:t0 + h], seg_f, seg_c):
+            np.maximum(dp, sf, out=cand_f)
+            np.maximum(dp_head, sc, out=cand_c_tail)
             np.less(cand_c, cand_f, out=took_ceil)
-            np.copyto(cand_f, cand_c, where=took_ceil)
+            np.minimum(cand_f, cand_c, out=cand_f)
             dp, cand_f = cand_f, dp
+            dp_head, cand_f_head = cand_f_head, dp_head
 
-    # Backtrack every zone at once from its final state j = e.
-    counts = np.empty((rows, n_z), dtype=np.int64)
-    j = extras.copy()
-    z_idx = np.arange(n_z)
-    for t in range(rows - 1, -1, -1):
-        took_ceil = choice[t, z_idx, j]
-        np.add(floors, took_ceil, out=counts[t])
-        j -= took_ceil
-    assert not j.any(), "CDP reconstruction failed"
-    return [counts[rows - r:, z] for z, r in enumerate(ranks)]
+    # Backtrack each zone alone, in Python ints, from its final state
+    # j = e; a zone of r ranks owns the last r rows of the table.
+    item = choice.item
+    out = []
+    for z, (_, _a, _n, r, f, e) in enumerate(zones):
+        off, j = rows - r, e
+        counts = [0] * r
+        for t in range(r - 1, -1, -1):
+            c = item(off + t, z, j)
+            counts[t] = f + c
+            j -= c
+        assert j == 0, "CDP reconstruction failed"
+        out.append(np.array(counts, dtype=np.int64))
+    return out
 
 
 def cdp_full(costs: np.ndarray, n_ranks: int) -> np.ndarray:

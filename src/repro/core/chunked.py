@@ -16,9 +16,9 @@ together rather than one after another: a single
 row per rank of the largest chunk (``ranks_per_chunk``, give or take
 the apportionment) whatever the number of chunks.  Work is
 ``O(r · e_max)`` arithmetic for ``r`` ranks, with ``e_max`` the largest
-per-chunk ``n mod r``, and ``O(ranks_per_chunk)`` interpreter steps;
-every chunk's counts equal a lone :func:`~repro.core.cdp.cdp_restricted`
-call on it.
+per-chunk ``n mod r``, ``O(ranks_per_chunk)`` ufunc calls, and a scalar
+backtrack of ``O(r)`` steps; every chunk's counts equal a lone
+:func:`~repro.core.cdp.cdp_restricted` call on it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ CPLX therefore:
    onto the selected ranks with LPT.
 
 ``X`` sweeps the tradeoff: ``X = 0`` (CPL0) is pure CDP;
-``X = 100`` (CPL100) re-places everything, i.e. pure LPT.
+``X = 100`` (CPL100) re-places everything, i.e. pure LPT.  Whenever the
+selection covers every rank (``X = 100``, or a small ``r`` where the
+two-rank minimum reaches ``r``) step 4 would discard the split, so CPLX
+skips steps 1-3 and runs LPT over all ranks directly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,21 @@ from .context import PlacementContext
 from .lpt import lpt_assign
 from .policy import PlacementPolicy, register_policy
 
-__all__ = ["CPLX", "repool", "select_rebalance_ranks"]
+__all__ = ["CPLX", "rebalance_count", "repool", "select_rebalance_ranks"]
+
+
+def rebalance_count(n_ranks: int, x_percent: float) -> int:
+    """Number of ranks the LPT rebalance selects out of ``n_ranks``.
+
+    ``round(X/100 * r)``, at least 2 (one source, one destination) when
+    ``X > 0`` and ``r >= 2``, and at most ``r``.
+    """
+    if not 0.0 <= x_percent <= 100.0:
+        raise ValueError(f"X must be in [0, 100], got {x_percent}")
+    k = int(round(x_percent / 100.0 * n_ranks))
+    if x_percent > 0.0 and n_ranks >= 2:
+        k = max(k, 2)
+    return min(k, n_ranks)
 
 
 def select_rebalance_ranks(
@@ -36,21 +53,15 @@ def select_rebalance_ranks(
 ) -> np.ndarray:
     """Rank IDs participating in the LPT rebalance for a given ``X``.
 
-    ``round(X/100 * r)`` ranks are chosen, split evenly between the top
-    (most loaded) and bottom (least loaded) of the load-sorted order,
-    with the extra rank (odd selections) going to the overloaded side —
-    the side that motivates the rebalance.  ``X > 0`` selects at least 2
-    ranks (one source, one destination) whenever ``r >= 2``.
+    :func:`rebalance_count` ranks are chosen, split evenly between the
+    top (most loaded) and bottom (least loaded) of the load-sorted
+    order, with the extra rank (odd selections) going to the overloaded
+    side — the side that motivates the rebalance.
 
     Ties in load break toward lower rank IDs for determinism.
     """
-    if not 0.0 <= x_percent <= 100.0:
-        raise ValueError(f"X must be in [0, 100], got {x_percent}")
     r = int(loads.shape[0])
-    k = int(round(x_percent / 100.0 * r))
-    if x_percent > 0.0 and r >= 2:
-        k = max(k, 2)
-    k = min(k, r)
+    k = rebalance_count(r, x_percent)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     # Stable argsort on (-load) => descending load, rank-ID tiebreak.
@@ -115,8 +126,12 @@ class CPLX(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
+        rebalance = self.x_percent > 0.0 and costs.shape[0] > 0 and n_ranks >= 2
+        if rebalance and rebalance_count(n_ranks, self.x_percent) == n_ranks:
+            # Step 4 would pool every block: the split is never used.
+            return self._lpt(costs, np.arange(n_ranks), ctx)
         assignment = assignment_from_counts(self._split(costs, n_ranks, ctx))
-        if self.x_percent == 0.0 or costs.shape[0] == 0 or n_ranks < 2:
+        if not rebalance:
             return assignment
         return self._rebalance(costs, assignment, n_ranks, ctx)
 
@@ -125,6 +140,18 @@ class CPLX(PlacementPolicy):
     ) -> np.ndarray:
         """Step 1: per-rank counts of the contiguous (chunked CDP) split."""
         return chunked_cdp_counts(costs, n_ranks, ranks_per_chunk=self.ranks_per_chunk)
+
+    def _finish_times(
+        self, loads: np.ndarray, ctx: Optional[PlacementContext]
+    ) -> np.ndarray:
+        """Step 2's sort key: per-rank finish time of the split (its load)."""
+        return loads
+
+    def _lpt(
+        self, costs: np.ndarray, ranks: np.ndarray, ctx: Optional[PlacementContext]
+    ) -> np.ndarray:
+        """Step 4's LPT of ``costs`` onto ``ranks``; indices into ``ranks``."""
+        return lpt_assign(costs, ranks.shape[0])
 
     def _rebalance(
         self,
@@ -135,9 +162,9 @@ class CPLX(PlacementPolicy):
     ) -> np.ndarray:
         """Steps 2-4: re-place the X% most and least loaded ranks with LPT."""
         loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
-        ranks = select_rebalance_ranks(loads, self.x_percent)
+        ranks = select_rebalance_ranks(self._finish_times(loads, ctx), self.x_percent)
         return repool(
-            costs, assignment, ranks, lambda pool: lpt_assign(pool, ranks.shape[0])
+            costs, assignment, ranks, lambda pool: self._lpt(pool, ranks, ctx)
         )
 
     def __repr__(self) -> str:

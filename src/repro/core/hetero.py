@@ -10,8 +10,8 @@ Three registered policies exploit a
   capacity-proportional contiguous split (fast ranks take longer SFC
   runs) followed by the usual X% rank rebalance, with rank "load"
   measured as completion time and the pooled blocks re-placed by
-  speed-scaled LPT.  It subclasses CPLX and overrides only those two
-  steps, so on uniform speeds it *is* plain CPLX, bit for bit.
+  speed-scaled LPT.  It subclasses CPLX and overrides only those three
+  hooks, so on uniform speeds it *is* plain CPLX, bit for bit.
 * ``hetero-ilp`` — exact branch-and-bound on uniform machines for small
   instances (the paper's Gurobi-reference arm generalized), falling
   back to speed-scaled LPT beyond ``max_exact_blocks``.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .baseline import contiguous_counts
 from .context import PlacementContext
-from .cplx import CPLX, repool, select_rebalance_ranks
+from .cplx import CPLX
 from .lpt import LPTPolicy
 from .policy import PlacementPolicy, register_policy
 
@@ -148,9 +148,9 @@ class HeteroLPTPolicy(LPTPolicy):
 class HeteroCPLX(CPLX):
     """Capacity-aware CPLX: hetero contiguous split + X% LPT rebalance.
 
-    Overrides only CPLX's two steps; with ``ctx=None`` or uniform speeds
-    both defer to CPLX, so homogeneous assignments are bit-identical to
-    ``cplx:<X>``.
+    Overrides only CPLX's three hooks (the split, the rebalance sort key
+    and the LPT step); with ``ctx=None`` or uniform speeds each defers to
+    CPLX, so homogeneous assignments are bit-identical to ``cplx:<X>``.
     """
 
     @property
@@ -158,32 +158,38 @@ class HeteroCPLX(CPLX):
         """Paper-style name with a hetero prefix, e.g. ``HCPL50``."""
         return "H" + super().label
 
+    def compute(
+        self,
+        costs: np.ndarray,
+        n_ranks: int,
+        ctx: Optional[PlacementContext] = None,
+    ) -> np.ndarray:
+        if ctx is not None and not ctx.uniform_speed:
+            _check_ctx(ctx, n_ranks)
+        return super().compute(costs, n_ranks, ctx)
+
     def _split(
         self, costs: np.ndarray, n_ranks: int, ctx: Optional[PlacementContext]
     ) -> np.ndarray:
         if ctx is None or ctx.uniform_speed:
             return super()._split(costs, n_ranks, ctx)
-        _check_ctx(ctx, n_ranks)
         return capacity_contiguous_counts(costs, ctx.rank_speed)
 
-    def _rebalance(
-        self,
-        costs: np.ndarray,
-        assignment: np.ndarray,
-        n_ranks: int,
-        ctx: Optional[PlacementContext],
+    def _finish_times(
+        self, loads: np.ndarray, ctx: Optional[PlacementContext]
     ) -> np.ndarray:
-        if ctx is None or ctx.uniform_speed:
-            return super()._rebalance(costs, assignment, n_ranks, ctx)
-        speeds = ctx.rank_speed
-        loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
         # Rebalance selection ranks by *completion time*, not raw load:
         # a fast rank with a heavy window may be perfectly on schedule.
-        ranks = select_rebalance_ranks(loads / speeds, self.x_percent)
-        return repool(
-            costs, assignment, ranks,
-            lambda pool: hetero_lpt_assign(pool, speeds[ranks]),
-        )
+        if ctx is None or ctx.uniform_speed:
+            return loads
+        return loads / ctx.rank_speed
+
+    def _lpt(
+        self, costs: np.ndarray, ranks: np.ndarray, ctx: Optional[PlacementContext]
+    ) -> np.ndarray:
+        if ctx is None or ctx.uniform_speed:
+            return super()._lpt(costs, ranks, ctx)
+        return hetero_lpt_assign(costs, ctx.rank_speed[ranks])
 
 
 @register_policy("hetero-ilp")

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -15,7 +15,8 @@ from repro.core import (
     counts_makespan,
     split_chunks,
 )
-from repro.core.chunked import _rank_shares
+from repro.core.cdp import cdp_restricted_zones
+from repro.core.chunked import _rank_shares, zone_ranges
 
 instances = st.tuples(
     st.lists(st.floats(0.05, 10.0), min_size=1, max_size=40),
@@ -144,6 +145,25 @@ class TestChunking:
         a = chunked_cdp_counts(costs, 8, ranks_per_chunk=100)
         b = cdp_restricted(costs, 8)
         assert np.array_equal(a, b)
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=300).map(
+            lambda c: np.asarray(c, dtype=np.float64)
+        ),
+        st.integers(2, 120),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zones_equal_lone_cdp_per_zone(self, costs, r, rpc):
+        """Tie-heavy costs on zones of unequal rank counts: each zone's
+        counts come out of the right-aligned shared table as if solved
+        alone."""
+        zones = zone_ranges(costs, r, rpc)
+        assume(len({hi - lo for _, _, lo, hi in zones}) > 1)
+        expected = np.concatenate(
+            [cdp_restricted(costs[a:b], hi - lo) for a, b, lo, hi in zones]
+        )
+        np.testing.assert_array_equal(cdp_restricted_zones(costs, zones), expected)
 
     def test_chunking_quality_close_to_global(self):
         """Ablation guard: chunked CDP loses little vs global restricted CDP."""

@@ -9,10 +9,15 @@ from repro.core import (
     CPLX,
     contiguity_fraction,
     get_policy,
+    hetero_lpt_assign,
     load_stats,
     lpt_assign,
     select_rebalance_ranks,
 )
+from repro.core import cplx as cplx_module
+from repro.core import hetero as hetero_module
+from repro.core.cplx import rebalance_count
+from repro.simnet import hetero_cluster
 
 costs_strategy = st.lists(st.floats(0.05, 10.0), min_size=8, max_size=120).map(
     np.asarray
@@ -66,20 +71,69 @@ class TestEndpoints:
     @given(costs_strategy, st.integers(2, 12))
     @settings(max_examples=30)
     def test_x100_matches_lpt_makespan(self, costs, r):
-        """X=100 re-places every block with LPT over all ranks.
-
-        The assignment may be a rank permutation of plain LPT (the pool
-        order differs), but per-rank load multiset and makespan match.
-        """
-        a = CPLX(x_percent=100).compute(costs, r)
-        b = lpt_assign(costs, r)
-        la = np.sort(np.bincount(a, weights=costs, minlength=r))
-        lb = np.sort(np.bincount(b, weights=costs, minlength=r))
-        assert np.allclose(la, lb)
+        """X=100 re-places every block with LPT over all ranks: the very
+        assignment of plain LPT, so its makespan too."""
+        np.testing.assert_array_equal(
+            CPLX(x_percent=100).compute(costs, r), lpt_assign(costs, r)
+        )
 
     def test_invalid_x_rejected(self):
         with pytest.raises(ValueError):
             CPLX(x_percent=-5)
+
+
+class TestEveryRankSelected:
+    """A selection of every rank makes CPLX plain LPT, without the split."""
+
+    @staticmethod
+    def _skewed(r):
+        return hetero_cluster(r, "fast:0.5x1,slow:1.0x3").placement_context()
+
+    @staticmethod
+    def _forbid_split(monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("the contiguous split was computed")
+
+        monkeypatch.setattr(cplx_module, "chunked_cdp_counts", no_split)
+        monkeypatch.setattr(hetero_module, "capacity_contiguous_counts", no_split)
+
+    @pytest.mark.parametrize("r, x", [(2, 25.0), (2, 1.0), (3, 90.0)])
+    def test_clamped_selection_is_lpt(self, r, x):
+        assert rebalance_count(r, x) == r
+        costs = np.random.default_rng(r).exponential(1.0, size=40)
+        np.testing.assert_array_equal(
+            CPLX(x_percent=x).compute(costs, r), lpt_assign(costs, r)
+        )
+
+    def test_hetero_x100_is_hetero_lpt(self):
+        ctx = self._skewed(32)
+        costs = np.random.default_rng(5).exponential(1.0, size=80)
+        got = get_policy("hetero-cplx:100").place(costs, ctx=ctx).assignment
+        np.testing.assert_array_equal(got, hetero_lpt_assign(costs, ctx.rank_speed))
+
+    @pytest.mark.parametrize(
+        "policy, r, skewed",
+        [
+            ("cplx:100", 32, False),
+            ("cplx:25", 2, False),
+            ("cplx:90", 3, False),
+            ("hetero-cplx:100", 32, False),
+            ("hetero-cplx:100", 32, True),
+        ],
+    )
+    def test_split_is_skipped(self, monkeypatch, policy, r, skewed):
+        self._forbid_split(monkeypatch)
+        costs = np.random.default_rng(7).exponential(1.0, size=90)
+        ctx = self._skewed(r) if skewed else None
+        get_policy(policy).place(costs, r, ctx=ctx)
+
+    @pytest.mark.parametrize("policy, r", [("cplx:50", 3), ("cplx:75", 32)])
+    def test_partial_selection_uses_split(self, monkeypatch, policy, r):
+        """The patch is effective: a partial selection needs the split."""
+        assert rebalance_count(r, get_policy(policy).x_percent) < r
+        self._forbid_split(monkeypatch)
+        with pytest.raises(AssertionError, match="split was computed"):
+            get_policy(policy).place(np.ones(40), r)
 
 
 class TestTradeoff:

@@ -124,3 +124,24 @@ class TestGraph:
         g = build_neighbor_graph(f)
         assert g.n_edges == 0
         assert g.degree().tolist() == [0]
+
+
+class TestNeighborGraphStructure:
+    def test_uniform_grid_structure(self):
+        from repro.mesh import AmrMesh, NeighborKind, RootGrid
+
+        g = AmrMesh(RootGrid((3, 3, 3))).neighbor_graph
+        assert g.n_blocks == 27
+        # Connected: a breadth-first search from block 0 reaches all.
+        adj = g.adjacency()
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [n for b in frontier for n in adj[b] if n not in seen]
+            seen.update(frontier)
+        assert len(seen) == 27
+        # The center block touches all 26 others; it is found by
+        # degree, not by SFC id.
+        assert int(g.degree().max()) == 26
+        weights = g.edge_weights({NeighborKind.FACE: 4.0, NeighborKind.EDGE: 2.0,
+                                  NeighborKind.VERTEX: 1.0})
+        assert set(weights.tolist()) == {4.0, 2.0, 1.0}

@@ -422,9 +422,9 @@ class TestDeadlines:
 
     def test_deadline_stops_resilience_inside_first_arm(self, live_service):
         """The deadline reaches resilience arms at epoch boundaries, as
-        it reaches sedov cells: the first arm never completes.  At 2000
+        it reaches sedov cells: the first arm never completes.  At 6000
         steps an arm runs for over a second, well past the deadline."""
-        params = {"ranks": 256, "steps": 2000, "check_determinism": False}
+        params = {"ranks": 256, "steps": 6000, "check_determinism": False}
         svc = live_service()
         with svc.client() as c:
             job = c.submit("resilience", params, deadline_s=0.5)
