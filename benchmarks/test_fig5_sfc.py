@@ -21,8 +21,8 @@ from repro.mesh import (
 
 def _build_fig5_mesh() -> AmrMesh:
     mesh = AmrMesh(RootGrid((2, 2)), max_level=3)
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+    mesh.remesh(RefinementTags(refine=mesh.keys[:1]))
+    mesh.remesh(RefinementTags(refine=mesh.keys[:1]))
     return mesh
 
 

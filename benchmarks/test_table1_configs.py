@@ -40,8 +40,8 @@ def test_table1_run_statistics(benchmark):
                     ranks=ranks,
                     t_total=sum(e.n_steps for e in traj),
                     t_lb=len(traj) - 1,
-                    n_initial=len(traj[0].blocks),
-                    n_final=len(traj[-1].blocks),
+                    n_initial=len(traj[0].keys),
+                    n_final=len(traj[-1].keys),
                 )
             )
         return rows

@@ -22,7 +22,7 @@ def main() -> None:
     workload = SedovWorkload(config)
     trajectory = workload.full_trajectory()
     print(f"Sedov trajectory: {len(trajectory)} epochs, "
-          f"{len(trajectory[0].blocks)} -> {len(trajectory[-1].blocks)} blocks")
+          f"{len(trajectory[0].keys)} -> {len(trajectory[-1].keys)} blocks")
 
     # --- placement policies share one interface -------------------------
     epoch = trajectory[len(trajectory) // 2]

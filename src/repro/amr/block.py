@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex
-from ..mesh.sfc import as_block_keys, key_levels, key_parents
+from ..mesh.sfc import key_levels, key_parents
 
 __all__ = ["BlockCostTracker"]
 
@@ -27,14 +26,13 @@ class BlockCostTracker:
     noise; smoothing trades responsiveness against noise rejection
     exactly like a production cost hook would.
 
-    Block identity follows the :class:`BlockIndex` (stable across
-    redistributions and SFC renumbering); refined children inherit the
+    Blocks are named by their packed keys
+    (:func:`~repro.mesh.sfc.pack_block_keys`), stable across
+    redistributions and SFC renumbering; refined children inherit the
     parent's estimate as their prior.  Estimates are stored as two
-    arrays, packed block keys (:func:`~repro.mesh.sfc.pack_block_keys`)
-    in ascending order and their values, so the per-epoch calls are
-    ``searchsorted`` joins.  ``observe_all``, ``estimates`` and
-    ``forget_except`` take either key arrays or :class:`BlockIndex`
-    sequences; ``state``/``load_state`` copy the two arrays.
+    arrays, the keys in ascending order and their values, so the
+    per-epoch calls are ``searchsorted`` joins; ``state``/``load_state``
+    copy the two arrays.
     """
 
     def __init__(self, alpha: float = 0.5, default_cost: float = 1.0) -> None:
@@ -63,17 +61,13 @@ class BlockCostTracker:
             self._keys = np.insert(self._keys, pos[new], keys[new])
             self._vals = np.insert(self._vals, pos[new], measured[new])
 
-    def observe(self, index: BlockIndex, measured_cost: float) -> None:
-        """Fold one measured kernel time into the estimate."""
-        self.observe_all([index], np.asarray([measured_cost], dtype=np.float64))
-
-    def observe_all(self, indices, measured: np.ndarray) -> None:
-        """Fold one measurement per block (keys or :class:`BlockIndex`).
+    def observe_all(self, keys: np.ndarray, measured: np.ndarray) -> None:
+        """Fold one measured kernel time per block key into its estimate.
 
         A block listed several times is folded once per occurrence, in
         order.
         """
-        keys = as_block_keys(indices)
+        keys = np.asarray(keys, dtype=np.int64)
         measured = np.asarray(measured, dtype=np.float64)
         if measured.shape != keys.shape:
             raise ValueError(
@@ -89,18 +83,14 @@ class BlockCostTracker:
         else:
             self._merge(keys, measured)
 
-    def estimate(self, index: BlockIndex) -> float:
-        """Current cost estimate; falls back to ancestors then default.
+    def estimates(self, keys: np.ndarray) -> np.ndarray:
+        """Cost estimate per block key: the block's own, else its nearest
+        observed ancestor's, else the default.
 
         A freshly refined block has no history — its parent's estimate is
         the best available prior (same region, same physics).
         """
-        return float(self.estimates([index])[0])
-
-    def estimates(self, indices) -> np.ndarray:
-        """Estimates per block (keys or :class:`BlockIndex`), each from the
-        block itself, else its nearest observed ancestor, else the default."""
-        keys = as_block_keys(indices)
+        keys = np.asarray(keys, dtype=np.int64)
         out = np.full(keys.shape[0], self.default_cost, dtype=np.float64)
         todo = np.arange(keys.shape[0])
         probe = keys
@@ -122,9 +112,9 @@ class BlockCostTracker:
         self._keys = np.array(keys, dtype=np.int64)
         self._vals = np.array(vals, dtype=np.float64)
 
-    def forget_except(self, live) -> None:
-        """Drop estimates for blocks no longer in the mesh (bounded memory)."""
-        keep = np.isin(self._keys, as_block_keys(live))
+    def forget_except(self, live: np.ndarray) -> None:
+        """Drop estimates for keys not in ``live`` (bounded memory)."""
+        keep = np.isin(self._keys, np.asarray(live, dtype=np.int64))
         self._keys, self._vals = self._keys[keep], self._vals[keep]
 
     def __len__(self) -> int:

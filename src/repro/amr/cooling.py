@@ -95,16 +95,15 @@ class CoolingWorkload:
             centers = mesh.centers()
             levels = mesh.levels()
             width0 = 1.0  # level-0 block width in domain units
-            tags = RefinementTags()
+            near = np.zeros(mesh.n_blocks, dtype=bool)
             for i in range(mesh.n_blocks):
                 if levels[i] >= cfg.max_level:
                     continue
                 d = np.linalg.norm(self._blobs - centers[i], axis=1).min()
-                if d < cfg.blob_radius * width0 / (2.0 ** levels[i]):
-                    tags.refine.add(mesh.blocks[i])
-            if not tags.refine:
+                near[i] = d < cfg.blob_radius * width0 / (2.0 ** levels[i])
+            if not near.any():
                 break
-            mesh.remesh(tags)
+            mesh.remesh(RefinementTags(refine=mesh.keys[near]))
         return mesh
 
     def _costs(self, mesh: AmrMesh, t_frac: float) -> np.ndarray:
@@ -122,7 +121,6 @@ class CoolingWorkload:
         cfg = self.config
         total = cfg.t_total if max_steps is None else min(max_steps, cfg.t_total)
         mesh = self._build_mesh()
-        blocks = list(mesh.blocks)
         keys = mesh.keys
         graph = mesh.neighbor_graph
         step = 0
@@ -133,7 +131,6 @@ class CoolingWorkload:
                 index=idx,
                 step_start=step,
                 n_steps=n,
-                blocks=blocks,
                 graph=graph,
                 base_costs=self._costs(mesh, step / max(total, 1)),
                 n_refined=0,

@@ -34,6 +34,7 @@ import numpy as np
 from ..mesh.geometry import BlockIndex, block_bounds
 from ..mesh.mesh import AmrMesh
 from ..mesh.refinement import RefinementTags
+from ..mesh.sfc import block_keys
 
 __all__ = ["EulerState", "EulerSolver2D", "sod_initial_state", "blast_initial_state"]
 
@@ -364,15 +365,15 @@ class EulerSolver2D:
         discontinuity in uniform density — a density-only criterion
         would miss the initial shock entirely.
         """
-        tags = RefinementTags()
+        refine, coarsen = [], []
         for b, U in self.data.items():
             rho, _, _, p = _primitives(U, self.gamma)
             rel = max(_rel_gradient(rho), _rel_gradient(p))
             if rel > threshold and b.level < self.mesh.forest.max_level:
-                tags.refine.add(b)
+                refine.append(b)
             elif rel < coarsen_below and b.level > 0:
-                tags.coarsen.add(b)
-        return tags
+                coarsen.append(b)
+        return RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen))
 
     def adapt(self, threshold: float = 0.25, coarsen_below: float = 0.05) -> Tuple[int, int]:
         """Remesh on gradient tags and transfer state to the new leaves.

@@ -17,13 +17,14 @@ remain usable separately.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from ..core.policy import PlacementPolicy
 from ..mesh.geometry import BlockIndex
 from ..mesh.mesh import AmrMesh
+from ..mesh.sfc import block_keys
 from ..telemetry.collector import TelemetryCollector
 from .block import BlockCostTracker
 from .redistribution import carry_assignment
@@ -115,7 +116,7 @@ class Simulation:
         self.tracker = BlockCostTracker()
         self.collector = TelemetryCollector(n_ranks, ranks_per_node)
         self.assignment: Optional[np.ndarray] = None
-        self._prev_blocks: Optional[List[BlockIndex]] = None
+        self._prev_keys: Optional[np.ndarray] = None
         # Per-assignment-epoch step-recording layout (see _refresh_layout).
         self._row_of: Dict[BlockIndex, int] = {}
         self._per_block: np.ndarray = np.zeros(0)
@@ -138,9 +139,9 @@ class Simulation:
         kt = self.solver.kernel_times
         if kt:
             self.tracker.observe_all(
-                list(kt), np.fromiter(kt.values(), dtype=np.float64, count=len(kt))
+                block_keys(kt), np.fromiter(kt.values(), dtype=np.float64, count=len(kt))
             )
-        return self.tracker.estimates(self.mesh.blocks)
+        return self.tracker.estimates(self.mesh.keys)
 
     def _refresh_layout(self) -> None:
         """(Re)build the step-recording layout for the current assignment.
@@ -159,10 +160,10 @@ class Simulation:
 
     def _redistribute(self, force: bool) -> None:
         costs = self._measured_costs()
-        blocks = self.mesh.blocks
+        keys = self.mesh.keys
         carried = (
-            carry_assignment(self._prev_blocks, self.assignment, blocks)
-            if self._prev_blocks is not None and self.assignment is not None
+            carry_assignment(self._prev_keys, self.assignment, keys)
+            if self._prev_keys is not None and self.assignment is not None
             else None
         )
         if not force and self.trigger is not None and carried is not None:
@@ -171,7 +172,7 @@ class Simulation:
                 if not decision.rebalance:
                     self.trigger_skips += 1
                     self.assignment = carried
-                    self._prev_blocks = list(blocks)
+                    self._prev_keys = keys
                     self._refresh_layout()
                     return
         result = self.policy.place(costs, self.n_ranks)
@@ -179,7 +180,7 @@ class Simulation:
             moved = int(((carried != result.assignment) & (carried >= 0)).sum())
             self.migrated_blocks += moved
         self.assignment = result.assignment
-        self._prev_blocks = list(blocks)
+        self._prev_keys = keys
         self._refresh_layout()
         self.redistributions += 1
 
@@ -225,7 +226,7 @@ class Simulation:
             self.assignment = self.policy.place(
                 np.ones(self.mesh.n_blocks), self.n_ranks
             ).assignment
-            self._prev_blocks = list(self.mesh.blocks)
+            self._prev_keys = self.mesh.keys
             self._refresh_layout()
             self.redistributions += 1
 

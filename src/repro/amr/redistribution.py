@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.context import PlacementContext
 from ..core.policy import PlacementPolicy, PlacementResult
-from ..mesh.sfc import as_block_keys, key_first_children, key_levels, key_parents
+from ..mesh.sfc import key_first_children, key_levels, key_parents
 from ..simnet.machine import FabricSpec
 
 __all__ = [
@@ -57,9 +57,9 @@ class RedistributionOutcome:
 
 
 def carry_assignment(
-    old_blocks,
+    old_keys: np.ndarray,
     old_assignment: np.ndarray,
-    new_blocks,
+    new_keys: np.ndarray,
 ) -> np.ndarray:
     """Project an assignment across a remesh for migration accounting.
 
@@ -69,11 +69,11 @@ def carry_assignment(
     Blocks with no identifiable predecessor get rank -1 (freshly created;
     their move is not charged as migration).
 
-    Blocks are packed key arrays or :class:`BlockIndex` sequences; the
-    three lookups are ``searchsorted`` joins on the old keys.
+    Blocks are packed key arrays; the three lookups are
+    ``searchsorted`` joins on the old keys.
     """
-    old_keys = as_block_keys(old_blocks)
-    new_keys = as_block_keys(new_blocks)
+    old_keys = np.asarray(old_keys, dtype=np.int64)
+    new_keys = np.asarray(new_keys, dtype=np.int64)
     owner = np.asarray(old_assignment, dtype=np.int64)
     if owner.shape != old_keys.shape:
         raise ValueError("old_assignment must give one rank per old block")

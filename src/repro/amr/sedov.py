@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..mesh.geometry import BlockIndex, RootGrid
+from ..mesh.geometry import RootGrid
 from ..mesh.mesh import AmrMesh
 from ..mesh.neighbors import NeighborGraph
 from ..mesh.refinement import RefinementTags
@@ -168,7 +168,7 @@ class SedovEpoch:
 
     Placement, neighbor structure, and base costs are fixed within an
     epoch; the driver simulates its ``n_steps`` steps with noise only.
-    ``keys`` are the blocks' packed keys
+    ``keys`` are the blocks' packed keys in block-ID order
     (:func:`~repro.mesh.sfc.pack_block_keys`), the identity the engine's
     cost tracker and remesh carry join on.
     """
@@ -176,7 +176,6 @@ class SedovEpoch:
     index: int
     step_start: int
     n_steps: int
-    blocks: List[BlockIndex]
     graph: NeighborGraph
     base_costs: np.ndarray       #: true per-block kernel cost this epoch
     n_refined: int
@@ -229,7 +228,6 @@ class SedovWorkload:
         cfg = self.config
         d_lo, d_hi = self._block_shell_distance(mesh, r)
         levels = mesh.levels()
-        blocks = mesh.blocks
         width0 = min(cfg.domain) / min(cfg.root_shape)  # level-0 physical width
         own_w = width0 / (2.0**levels)
         child_w = own_w / 2.0
@@ -254,12 +252,10 @@ class SedovWorkload:
         parent_far = (pd_near > coarsen_band) | (pd_far < -coarsen_band)
         can_coarsen = levels > 0
 
-        tags = RefinementTags()
-        for i in np.nonzero(crosses & can_refine)[0]:
-            tags.refine.add(blocks[i])
-        for i in np.nonzero(parent_far & can_coarsen & ~crosses)[0]:
-            tags.coarsen.add(blocks[i])
-        return tags
+        return RefinementTags(
+            refine=mesh.keys[crosses & can_refine],
+            coarsen=mesh.keys[parent_far & can_coarsen & ~crosses],
+        )
 
     def _epoch_costs(self, mesh: AmrMesh, r: float) -> np.ndarray:
         """True per-block kernel cost for an epoch.
@@ -301,7 +297,6 @@ class SedovWorkload:
             r = cfg.shock_radius(step)
             base_costs = self._epoch_costs(mesh, r)
             epoch_start = step
-            blocks = list(mesh.blocks)
             keys = mesh.keys
             graph = mesh.neighbor_graph
             # Advance until the next mesh change, the epoch-length cap, or
@@ -314,7 +309,7 @@ class SedovWorkload:
                     probe = total
                     break
                 tags = self._tags(mesh, cfg.shock_radius(probe))
-                if tags.refine or tags.coarsen:
+                if tags.refine.size or tags.coarsen.size:
                     nr, nc = mesh.remesh(tags)
                     if nr or nc:
                         break
@@ -325,7 +320,6 @@ class SedovWorkload:
                 index=epoch_idx,
                 step_start=epoch_start,
                 n_steps=probe - epoch_start,
-                blocks=blocks,
                 graph=graph,
                 base_costs=base_costs,
                 n_refined=n_ref,

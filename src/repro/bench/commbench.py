@@ -93,8 +93,7 @@ def random_refined_mesh(
             continue
         budget = max(1, (target - mesh.n_blocks) // 7)
         chosen = candidates[: budget]
-        tags = RefinementTags(refine={mesh.blocks[i] for i in chosen})
-        mesh.remesh(tags)
+        mesh.remesh(RefinementTags(refine=mesh.keys[chosen]))
     return mesh
 
 

@@ -374,8 +374,8 @@ def _run_sweep_cell(cell: _SweepCell) -> Tuple[PolicyOutcome, Dict[str, int]]:
         "ranks": cell.scale,
         "t_total": sum(e.n_steps for e in trajectory),
         "t_lb": max(len(trajectory) - 1, 0),
-        "n_initial": len(trajectory[0].blocks),
-        "n_final": len(trajectory[-1].blocks),
+        "n_initial": len(trajectory[0].keys),
+        "n_final": len(trajectory[-1].keys),
     }
     return outcome, table_entry
 

@@ -183,7 +183,7 @@ class EpochEngine:
             if config.use_measured_costs:
                 ctx.policy_costs = ctx.tracker.estimates(epoch.keys)
             else:
-                ctx.policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
+                ctx.policy_costs = np.ones(len(epoch.keys), dtype=np.float64)
 
             # --- redistribution on the current (surviving) cluster ------
             if ctx.prev_keys is not None:
@@ -266,7 +266,7 @@ class EpochEngine:
             ctx.epoch_wall = epoch_wall / k * epoch.n_steps + lb_per_rank
             ctx.wall += ctx.epoch_wall
             ctx.total_steps += epoch.n_steps
-            ctx.final_blocks = len(epoch.blocks)
+            ctx.final_blocks = len(epoch.keys)
             ctx.prev_keys = epoch.keys
             ctx.prev_assignment = assignment
 

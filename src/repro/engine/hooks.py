@@ -117,7 +117,7 @@ class TelemetryHook(EpochHook):
             epoch=epoch.index,
             step_start=epoch.step_start,
             n_steps=epoch.n_steps,
-            n_blocks=len(epoch.blocks),
+            n_blocks=len(epoch.keys),
             n_refined=epoch.n_refined,
             n_coarsened=epoch.n_coarsened,
             placement_s=outcome.placement_s,

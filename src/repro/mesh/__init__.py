@@ -6,11 +6,10 @@ Z-order SFC block IDs via depth-first traversal, cross-level
 face/edge/vertex neighbor discovery, and 2:1-balanced refinement.
 """
 
-from .fast_neighbors import build_neighbor_graph_fast
 from .geometry import BlockIndex, RootGrid, block_bounds, child_offsets
 from .hilbert import hilbert_encode, hilbert_key, hilbert_sort_blocks
 from .mesh import AmrMesh
-from .neighbors import NeighborGraph, NeighborKind
+from .neighbors import NeighborGraph, NeighborKind, build_neighbor_graph
 from .octree import OctreeForest
 from .refinement import RefinementTags, RemeshDelta, apply_tags, enforce_two_one_balance
 from .sfc import contiguous_ranges, morton_decode, morton_encode, morton_key, sfc_sort_blocks
@@ -28,7 +27,7 @@ __all__ = [
     "ShardedBlockTable",
     "apply_tags",
     "block_bounds",
-    "build_neighbor_graph_fast",
+    "build_neighbor_graph",
     "child_offsets",
     "contiguous_ranges",
     "enforce_two_one_balance",

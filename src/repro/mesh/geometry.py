@@ -15,14 +15,13 @@ machinery.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "BlockIndex",
     "RootGrid",
-    "blocks_from_arrays",
     "child_offsets",
     "parent_of",
     "children_of",
@@ -106,25 +105,6 @@ class BlockIndex:
             raise ValueError(f"ancestor level {level} exceeds block level {self.level}")
         shift = self.level - level
         return BlockIndex(level, tuple(c >> shift for c in self.coords))
-
-
-def blocks_from_arrays(levels: np.ndarray, coords: np.ndarray) -> List[BlockIndex]:
-    """:class:`BlockIndex` values of blocks given as level and coordinate
-    arrays, in order.
-
-    For values decoded from packed block keys, which are valid by
-    construction: the per-instance range checks of
-    :meth:`BlockIndex.__post_init__` are skipped, as they would cost
-    more than building the instances.
-    """
-    new, level_slot, coords_slot = object.__new__, BlockIndex.level, BlockIndex.coords
-    out = []
-    for lv, c in zip(levels.tolist(), map(tuple, coords.tolist())):
-        b = new(BlockIndex)
-        level_slot.__set__(b, lv)
-        coords_slot.__set__(b, c)
-        out.append(b)
-    return out
 
 
 def parent_of(idx: BlockIndex) -> BlockIndex:

@@ -1,24 +1,24 @@
 """High-level AMR mesh facade combining octree, SFC, and neighbor graph.
 
 :class:`AmrMesh` is the object the rest of the library works with: it
-owns the octree forest, caches the SFC-ordered leaf list, block keys,
-geometry arrays, block-ID index and neighbor graph, and exposes the
-refinement entry point used by the simulation driver.  The keys and
-geometry are views of the forest's per-generation
-:class:`~repro.mesh.octree.LeafIndex`.  Every remesh that changes the
-forest drops all of those caches; each is rebuilt lazily (the graph by
-the vectorized builder) on its next access.
+owns the octree forest, exposes its SFC-ordered block keys and geometry
+arrays (views of the forest's per-generation
+:class:`~repro.mesh.octree.LeafIndex`), caches the neighbor graph and
+the :class:`~repro.mesh.geometry.BlockIndex` leaf list, and provides the
+refinement entry point used by the simulation driver.  The keys are the
+block identity every other layer uses; the leaf list is built only for
+callers that ask for it.  Every remesh that changes the forest drops
+all of those caches; each is rebuilt lazily on its next access.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import BlockIndex, RootGrid
-from .fast_neighbors import build_neighbor_graph_fast
-from .neighbors import NeighborGraph
+from .neighbors import NeighborGraph, build_neighbor_graph
 from .octree import OctreeForest
 from .refinement import RefinementTags, RemeshDelta, apply_tags
 
@@ -64,7 +64,6 @@ class AmrMesh:
             raise ValueError("domain_size must match dimensionality")
         self._blocks: List[BlockIndex] | None = None
         self._graph: NeighborGraph | None = None
-        self._id_of: Dict[BlockIndex, int] | None = None
         self.generation = 0  # bumped on every structural change
 
     # ------------------------------------------------------------------ #
@@ -93,24 +92,10 @@ class AmrMesh:
 
     @property
     def neighbor_graph(self) -> NeighborGraph:
-        """Neighbor graph over SFC-ordered blocks; cached.
-
-        Built by the vectorized key-array builder; it shares this mesh's
-        leaf list when that is already built.
-        """
+        """Neighbor graph over SFC-ordered blocks; cached."""
         if self._graph is None:
-            self._graph = build_neighbor_graph_fast(self.forest, self._blocks)
+            self._graph = build_neighbor_graph(self.forest)
         return self._graph
-
-    def block_id(self, idx: BlockIndex) -> int:
-        """SFC block ID of a leaf — O(1) via a cached index, rebuilt on
-        first use after each remesh."""
-        if self._id_of is None:
-            self._id_of = {b: i for i, b in enumerate(self.blocks)}
-        try:
-            return self._id_of[idx]
-        except KeyError:
-            raise ValueError(f"{idx} is not a leaf of this mesh") from None
 
     def _geometry(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-block (coords, levels) arrays in SFC order, read-only."""
@@ -144,7 +129,6 @@ class AmrMesh:
     def _invalidate(self) -> None:
         self._blocks = None
         self._graph = None
-        self._id_of = None
         self.generation += 1
 
     def remesh(self, tags: RefinementTags) -> RemeshDelta:

@@ -22,11 +22,11 @@ and the scalar queries, whose hash set is also built lazily.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Set
+from typing import Iterable, Iterator, List, Set
 
 import numpy as np
 
-from .geometry import BlockIndex, RootGrid, blocks_from_arrays
+from .geometry import BlockIndex, RootGrid
 from .sfc import (
     block_keys,
     key_codes,
@@ -34,6 +34,7 @@ from .sfc import (
     key_levels,
     morton_decode,
     pack_block_keys,
+    unpack_block_keys,
 )
 
 __all__ = ["LeafIndex", "OctreeForest"]
@@ -187,20 +188,11 @@ class OctreeForest:
                 return None
             probe = probe.parent()
 
-    def ids_of(self, blocks: Iterable[BlockIndex]) -> np.ndarray:
-        """Block IDs of those ``blocks`` that are leaves (others dropped)."""
-        index = self.index()
-        dim = self.dim
-        blocks = [b for b in blocks if len(b.coords) == dim and b.level <= index.depth]
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        levels = np.fromiter((b.level for b in blocks), np.int64, len(blocks))
-        coords = np.asarray([b.coords for b in blocks], dtype=np.int64)
-        extent = np.asarray(self.root.shape, dtype=np.int64)[None, :] << levels[:, None]
-        inside = (coords < extent).all(axis=1)
-        keys = pack_block_keys(coords[inside], levels[inside])
+    def ids_of(self, keys: np.ndarray) -> np.ndarray:
+        """Block IDs of those packed ``keys`` that are leaves (others dropped)."""
+        keys = np.asarray(keys, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self._keys, keys), self.n_leaves - 1)
-        return index.rank[pos[self._keys[pos] == keys]]
+        return self.index().rank[pos[self._keys[pos] == keys]]
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -260,8 +252,7 @@ class OctreeForest:
 
     def _dfs_blocks(self) -> List[BlockIndex]:
         if self._blocks is None:
-            index = self.index()
-            self._blocks = blocks_from_arrays(index.levels, index.coords)
+            self._blocks = unpack_block_keys(self.index().keys)
         return self._blocks
 
     def leaves_dfs(self) -> List[BlockIndex]:
@@ -272,10 +263,6 @@ class OctreeForest:
         order within a tree — exactly the Z-order SFC (paper Fig. 5).
         """
         return list(self._dfs_blocks())
-
-    def block_ids(self) -> Dict[BlockIndex, int]:
-        """Map each leaf to its sequential block ID along the SFC."""
-        return {b: i for i, b in enumerate(self._dfs_blocks())}
 
     # ------------------------------------------------------------------ #
     # validation / construction

@@ -9,11 +9,13 @@ most ``2^(dim-1)`` neighbors.  This module converts tags into a legal
 set of refine/coarsen operations and applies them to the forest's
 packed-key array in one step.  The 2:1 closure and the coarsen check
 probe neighbor regions in per-level batches with the helpers the
-neighbor-graph builder uses (:mod:`repro.mesh.fast_neighbors`).
+neighbor-graph builder uses (:mod:`repro.mesh.neighbors`).
 
-:func:`apply_tags` reports what it did as a :class:`RemeshDelta` — the
-refined leaves and the merged parents, in a deterministic order.  The
-delta still unpacks as the historical ``(n_refined, n_coarsened)``
+Tags and deltas name blocks by their packed keys
+(:func:`~repro.mesh.sfc.pack_block_keys`).  :func:`apply_tags` reports
+what it did as a :class:`RemeshDelta` — the keys of the refined leaves
+and of the merged parents, in a deterministic order.  The delta still
+unpacks as the historical ``(n_refined, n_coarsened)``
 tuple; :class:`~repro.mesh.AmrMesh` uses it only to decide whether its
 cached metadata must be rebuilt.
 """
@@ -21,14 +23,13 @@ cached metadata must be rebuilt.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Set, Tuple
+from typing import Iterator
 
 import numpy as np
 
-from .fast_neighbors import probe_regions
-from .geometry import BlockIndex, blocks_from_arrays
+from .neighbors import probe_regions
 from .octree import LeafIndex, OctreeForest
-from .sfc import key_codes, key_levels, key_parents, morton_decode
+from .sfc import key_codes, key_dims, key_levels, key_parents, morton_decode
 
 __all__ = [
     "RefinementTags",
@@ -38,62 +39,87 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class RefinementTags:
-    """Sets of leaves tagged for refinement and coarsening.
+def _no_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
-    Tags are advisory: :func:`apply_tags` drops coarsening tags that
-    would break sibling completeness or 2:1 balance, and adds refinement
-    beyond the tag set where balance requires it.
+
+def _tag_keys(field: str, values) -> np.ndarray:
+    """Sorted unique int64 keys of one tag field; ``ValueError`` naming
+    the field unless ``values`` is a 1-D integer array (or empty)."""
+    keys = np.asarray(values)
+    if keys.ndim != 1 or (keys.size and not np.issubdtype(keys.dtype, np.integer)):
+        raise ValueError(
+            f"RefinementTags.{field} must be a 1-D integer array of block keys, "
+            f"got {keys.ndim}-D {keys.dtype}"
+        )
+    return np.unique(keys.astype(np.int64))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RefinementTags:
+    """Packed keys of the leaves tagged for refinement and coarsening.
+
+    Each field is held as a sorted array of distinct int64 keys.  Tags
+    are advisory: :func:`apply_tags` drops keys that are not current
+    leaves and coarsening tags that would break sibling completeness or
+    2:1 balance, and adds refinement beyond the tag set where balance
+    requires it.  A key in both fields is rejected.
     """
 
-    refine: Set[BlockIndex] = dataclasses.field(default_factory=set)
-    coarsen: Set[BlockIndex] = dataclasses.field(default_factory=set)
+    refine: np.ndarray = dataclasses.field(default_factory=_no_keys)
+    coarsen: np.ndarray = dataclasses.field(default_factory=_no_keys)
 
     def __post_init__(self) -> None:
-        overlap = self.refine & self.coarsen
-        if overlap:
-            raise ValueError(f"blocks tagged both refine and coarsen: {overlap}")
+        for field in ("refine", "coarsen"):
+            object.__setattr__(self, field, _tag_keys(field, getattr(self, field)))
+        overlap = np.intersect1d(self.refine, self.coarsen, assume_unique=True)
+        if overlap.size:
+            raise ValueError(
+                f"{overlap.size} block keys tagged both refine and coarsen: "
+                f"{overlap[:4].tolist()}"
+            )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class RemeshDelta:
     """Structured description of one :func:`apply_tags` application.
 
     Attributes
     ----------
     refined:
-        Pre-op leaves that were split into their children, in the order
-        they were refined (sorted by ``(level, coords)``).
+        Keys of the pre-op leaves that were split into their children,
+        in the order they were refined (sorted by ``(level, coords)``).
     coarsened:
-        Parents whose sibling sets were merged, in merge order.
+        Keys of the parents whose sibling sets were merged, in merge
+        order (also by ``(level, coords)``).
 
     The delta iterates as ``(n_refined, n_coarsened)`` so historical
     tuple-unpacking call sites keep working.
     """
 
-    refined: Tuple[BlockIndex, ...]
-    coarsened: Tuple[BlockIndex, ...]
+    refined: np.ndarray
+    coarsened: np.ndarray
 
     @property
     def n_refined(self) -> int:
-        return len(self.refined)
+        return int(self.refined.shape[0])
 
     @property
     def n_coarsened(self) -> int:
-        return len(self.coarsened)
+        return int(self.coarsened.shape[0])
 
     @property
     def changed(self) -> bool:
-        return bool(self.refined or self.coarsened)
+        return bool(self.refined.size or self.coarsened.size)
 
     @property
     def touched(self) -> int:
         """Removed + added leaf count: how much of the mesh this
-        remesh changed."""
-        full_r = 1 << (len(self.refined[0].coords) if self.refined else 0)
-        full_c = 1 << (len(self.coarsened[0].coords) if self.coarsened else 0)
-        return len(self.refined) * (1 + full_r) + len(self.coarsened) * (1 + full_c)
+        remesh changed (``1 + 2^dim`` per refined or merged block)."""
+        keys = np.concatenate([self.refined, self.coarsened])
+        if not keys.size:
+            return 0
+        return int(keys.shape[0]) * (1 + (1 << int(key_dims(keys[:1])[0])))
 
     def __iter__(self) -> Iterator[int]:
         return iter((self.n_refined, self.n_coarsened))
@@ -184,20 +210,17 @@ def _safe_merges(
     return parents[(counts == 1 << dim) & ~unsafe]
 
 
-def enforce_two_one_balance(
-    forest: OctreeForest, to_refine: Set[BlockIndex]
-) -> Set[BlockIndex]:
+def enforce_two_one_balance(forest: OctreeForest, to_refine: np.ndarray) -> np.ndarray:
     """Close a refinement set under the 2:1 balance constraint.
 
-    Given leaves selected for refinement, returns the superset that
-    :func:`apply_tags` refines: refining a level-``L`` block forces
-    every neighboring leaf at level ``L-1`` or coarser to refine too,
-    which may cascade.  Tags that are not leaves and max-level tags are
-    dropped.
+    Given the keys of leaves selected for refinement, returns the keys
+    of the superset that :func:`apply_tags` refines, in block-ID order:
+    refining a level-``L`` block forces every neighboring leaf at level
+    ``L-1`` or coarser to refine too, which may cascade.  Keys that are
+    not leaves and max-level tags are dropped.
     """
     index = forest.index()
-    ids = np.flatnonzero(_closure(forest, index, forest.ids_of(to_refine)))
-    return set(blocks_from_arrays(index.levels[ids], index.coords[ids]))
+    return index.keys[_closure(forest, index, forest.ids_of(to_refine))]
 
 
 def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
@@ -221,7 +244,4 @@ def apply_tags(forest: OctreeForest, tags: RefinementTags) -> RemeshDelta:
     order = _level_coords_order(m_levels, m_coords)
     if refined.size or merged.size:
         forest.apply_delta(index.keys[refined], merged)
-    return RemeshDelta(
-        refined=tuple(blocks_from_arrays(index.levels[refined], index.coords[refined])),
-        coarsened=tuple(blocks_from_arrays(m_levels[order], m_coords[order])),
-    )
+    return RemeshDelta(refined=index.keys[refined], coarsened=merged[order])

@@ -37,8 +37,8 @@ __all__ = [
     "pack_block_keys",
     "block_keys",
     "block_key",
-    "as_block_keys",
     "unpack_block_keys",
+    "key_dims",
     "key_levels",
     "key_codes",
     "key_parents",
@@ -248,14 +248,6 @@ def block_key(idx: BlockIndex) -> int:
     return int(block_keys([idx])[0])
 
 
-def as_block_keys(blocks) -> np.ndarray:
-    """Keys of ``blocks``: an int array is taken as packed keys, any
-    other iterable of :class:`BlockIndex` is packed."""
-    if isinstance(blocks, np.ndarray):
-        return blocks.astype(np.int64, copy=False)
-    return block_keys(blocks)
-
-
 def _key_fields(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys = np.asarray(keys, dtype=np.int64)
     dims = keys >> np.int64(_KEY_DIM_SHIFT)
@@ -266,15 +258,28 @@ def _key_fields(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def unpack_block_keys(keys: np.ndarray) -> List[BlockIndex]:
-    """Decode packed keys back to their :class:`BlockIndex` values."""
+    """Decode packed keys back to their :class:`BlockIndex` values.
+
+    Every key with a valid dim field decodes to a valid block, so the
+    per-instance range checks of :meth:`BlockIndex.__post_init__` are
+    skipped: they would cost more than building the instances.
+    """
     dims, levels, codes = _key_fields(keys)
-    out: List[BlockIndex] = [None] * dims.shape[0]  # type: ignore[list-item]
+    new = object.__new__
+    set_level, set_coords = BlockIndex.level.__set__, BlockIndex.coords.__set__
+    out = [new(BlockIndex) for _ in range(dims.shape[0])]
     for dim in np.unique(dims).tolist():
-        sel = np.nonzero(dims == dim)[0]
-        coords = morton_decode(codes[sel], dim).tolist()
+        sel = np.flatnonzero(dims == dim)
+        coords = map(tuple, morton_decode(codes[sel], dim).tolist())
         for i, level, c in zip(sel.tolist(), levels[sel].tolist(), coords):
-            out[i] = BlockIndex(level, tuple(c))
+            set_level(out[i], level)
+            set_coords(out[i], c)
     return out
+
+
+def key_dims(keys: np.ndarray) -> np.ndarray:
+    """Dimensionality of each packed key."""
+    return _key_fields(keys)[0]
 
 
 def key_levels(keys: np.ndarray) -> np.ndarray:

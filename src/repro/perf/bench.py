@@ -244,9 +244,9 @@ def _bench_mesh(
     params: Dict, metrics: Dict, derived: Dict, log: Callable[[str], None]
 ) -> None:
     from ..bench.commbench import random_refined_mesh
-    from ..mesh.fast_neighbors import build_neighbor_graph_fast
+    from ..mesh.neighbors import build_neighbor_graph
     from ..mesh.refinement import RefinementTags
-    from ..mesh.sfc import sfc_sort_blocks
+    from ..mesh.sfc import key_first_children, sfc_sort_blocks
 
     rng = np.random.default_rng(7)
     mesh = random_refined_mesh(
@@ -264,7 +264,7 @@ def _bench_mesh(
 
     metric = f"mesh.neighbor_graph.n{n}"
     metrics[metric] = _time_case(
-        lambda: build_neighbor_graph_fast(mesh.forest), params["mesh_repeats"]
+        lambda: build_neighbor_graph(mesh.forest), params["mesh_repeats"]
     )
     log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 
@@ -274,15 +274,14 @@ def _bench_mesh(
     # invalidation forces.  The warmup run absorbs any one-time 2:1
     # ripple refinements, after which the cycle is a fixed point of the
     # forest.
-    target = next(b for b in mesh.blocks if b.level < mesh.forest.max_level)
+    refine = RefinementTags(refine=mesh.keys[mesh.levels() < mesh.forest.max_level][:1])
+    back = RefinementTags(
+        coarsen=key_first_children(refine.refine) + np.arange(1 << mesh.dim)
+    )
 
     def cycle():
-        tags = RefinementTags()
-        tags.refine.add(target)
-        mesh.remesh(tags)
+        mesh.remesh(refine)
         _ = mesh.neighbor_graph
-        back = RefinementTags()
-        back.coarsen.update(target.children())
         mesh.remesh(back)
         _ = mesh.neighbor_graph
 

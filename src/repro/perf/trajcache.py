@@ -55,11 +55,10 @@ def _code_version() -> str:
     global _code_version_memo
     if _code_version_memo is None:
         from ..amr import sedov
-        from ..mesh import fast_neighbors, geometry, mesh, neighbors, octree, refinement, sfc
+        from ..mesh import geometry, mesh, neighbors, octree, refinement, sfc
 
         h = hashlib.sha256(__version__.encode())
-        for mod in (sedov, mesh, octree, refinement, neighbors,
-                    fast_neighbors, sfc, geometry):
+        for mod in (sedov, mesh, octree, refinement, neighbors, sfc, geometry):
             h.update(inspect.getsource(mod).encode())
         _code_version_memo = h.hexdigest()
     return _code_version_memo

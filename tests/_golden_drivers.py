@@ -2,8 +2,10 @@
 
 Verbatim copies of ``repro.amr.driver`` and ``repro.resilience.driver``
 as they stood *before* the hook-based ``repro.engine`` refactor
-(commit 38e24c0), with only the import paths rewritten to absolute form
-and the public names prefixed ``golden_``.  The parity tests in
+(commit 38e24c0), with only the import paths rewritten to absolute form,
+the public names prefixed ``golden_``, and ``epoch.blocks`` read as
+``epoch.keys`` (the same blocks as packed keys) since epochs no longer
+carry a :class:`~repro.mesh.geometry.BlockIndex` list.  The parity tests in
 ``test_engine_parity.py`` assert that the engine-based drivers produce
 bit-identical RunSummary and telemetry tables against these.
 
@@ -85,21 +87,21 @@ def golden_run_trajectory(
 
     for epoch in epochs:
         n_epochs += 1
-        final_blocks = len(epoch.blocks)
+        final_blocks = len(epoch.keys)
 
         # --- telemetry-driven cost measurement --------------------------
         measured = epoch.base_costs * rng.lognormal(
             0.0, config.cost_measurement_sigma, size=epoch.base_costs.shape[0]
         )
-        tracker.observe_all(epoch.blocks, measured)
+        tracker.observe_all(epoch.keys, measured)
         if config.use_measured_costs:
-            policy_costs = tracker.estimates(epoch.blocks)
+            policy_costs = tracker.estimates(epoch.keys)
         else:
-            policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
+            policy_costs = np.ones(len(epoch.keys), dtype=np.float64)
 
         # --- redistribution ---------------------------------------------
         if prev_blocks is not None:
-            carried = carry_assignment(prev_blocks, prev_assignment, epoch.blocks)
+            carried = carry_assignment(prev_blocks, prev_assignment, epoch.keys)
         else:
             carried = None
         outcome = redistribute(
@@ -147,7 +149,7 @@ def golden_run_trajectory(
             epoch=epoch.index,
             step_start=epoch.step_start,
             n_steps=epoch.n_steps,
-            n_blocks=len(epoch.blocks),
+            n_blocks=len(epoch.keys),
             n_refined=epoch.n_refined,
             n_coarsened=epoch.n_coarsened,
             placement_s=outcome.placement_s,
@@ -156,7 +158,7 @@ def golden_run_trajectory(
         )
         wall += epoch_wall
         total_steps += epoch.n_steps
-        prev_blocks = epoch.blocks
+        prev_blocks = epoch.keys
         prev_assignment = assignment
         if health_monitor is not None:
             health_monitor.observe(collector, epoch.index)
@@ -375,15 +377,15 @@ def golden_run_resilient_trajectory(
         measured = epoch.base_costs * rng.lognormal(
             0.0, config.cost_measurement_sigma, size=epoch.base_costs.shape[0]
         )
-        tracker.observe_all(epoch.blocks, measured)
+        tracker.observe_all(epoch.keys, measured)
         if config.use_measured_costs:
-            policy_costs = tracker.estimates(epoch.blocks)
+            policy_costs = tracker.estimates(epoch.keys)
         else:
-            policy_costs = np.ones(len(epoch.blocks), dtype=np.float64)
+            policy_costs = np.ones(len(epoch.keys), dtype=np.float64)
 
         # --- guarded redistribution on the current (healthy) cluster ----
         if prev_blocks is not None:
-            carried = carry_assignment(prev_blocks, prev_assignment, epoch.blocks)
+            carried = carry_assignment(prev_blocks, prev_assignment, epoch.keys)
         else:
             carried = None
         fallbacks_before = getattr(policy, "fallback_count", 0)
@@ -443,7 +445,7 @@ def golden_run_resilient_trajectory(
             epoch=epoch.index,
             step_start=lo,
             n_steps=epoch.n_steps,
-            n_blocks=len(epoch.blocks),
+            n_blocks=len(epoch.keys),
             n_refined=epoch.n_refined,
             n_coarsened=epoch.n_coarsened,
             placement_s=outcome.placement_s,
@@ -452,8 +454,8 @@ def golden_run_resilient_trajectory(
         )
         wall += epoch_wall
         total_steps += epoch.n_steps
-        final_blocks = len(epoch.blocks)
-        prev_blocks = epoch.blocks
+        final_blocks = len(epoch.keys)
+        prev_blocks = epoch.keys
         prev_assignment = assignment
 
         # --- fail-stop crash inside this epoch ---------------------------
@@ -531,7 +533,7 @@ def golden_run_resilient_trajectory(
                 n_evictions += len(dead_idx)
                 if restored_assignment is not None and i_next > 0:
                     prev_assignment = _remap(restored_assignment, rank_map)
-                    prev_blocks = epoch_list[i_next - 1].blocks
+                    prev_blocks = epoch_list[i_next - 1].keys
                     lost_blocks = int((prev_assignment < 0).sum())
                 else:
                     prev_assignment = None
@@ -554,7 +556,7 @@ def golden_run_resilient_trajectory(
                 mitigation_s += evict_cost
             elif restored_assignment is not None and i_next > 0:
                 prev_assignment = restored_assignment
-                prev_blocks = epoch_list[i_next - 1].blocks
+                prev_blocks = epoch_list[i_next - 1].keys
             else:
                 prev_assignment = None
                 prev_blocks = None

@@ -43,11 +43,11 @@ def small_mesh3d():
     mesh = AmrMesh(RootGrid((4, 4, 4)), max_level=3)
     centers = mesh.centers()
     near = np.linalg.norm(centers - 2.0, axis=1) < 1.3
-    mesh.remesh(RefinementTags(refine={mesh.blocks[i] for i in np.nonzero(near)[0]}))
+    mesh.remesh(RefinementTags(refine=mesh.keys[near]))
     centers = mesh.centers()
     levels = mesh.levels()
     near = (np.linalg.norm(centers - 2.0, axis=1) < 0.8) & (levels == 1)
-    mesh.remesh(RefinementTags(refine={mesh.blocks[i] for i in np.nonzero(near)[0]}))
+    mesh.remesh(RefinementTags(refine=mesh.keys[near]))
     return mesh
 
 
@@ -57,5 +57,5 @@ def mesh2d():
     from repro.mesh import AmrMesh, RefinementTags, RootGrid
 
     mesh = AmrMesh(RootGrid((2, 2)), max_level=4)
-    mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+    mesh.remesh(RefinementTags(refine=mesh.keys[:1]))
     return mesh

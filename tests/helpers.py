@@ -12,6 +12,7 @@ import numpy as np
 from repro.mesh import AmrMesh, RefinementTags
 from repro.mesh.geometry import RootGrid
 from repro.mesh.octree import OctreeForest
+from repro.mesh.sfc import block_keys
 
 
 class LiveService:
@@ -86,13 +87,13 @@ def random_forest(seed: int, n_ops: int = 12, dim: int = 2) -> OctreeForest:
 
 def tag_by_predicate(forest, should_refine, should_coarsen=None) -> RefinementTags:
     """Tags from per-block predicates (refine wins on conflict)."""
-    tags = RefinementTags()
+    refine, coarsen = [], []
     for b in forest.leaves():
         if b.level < forest.max_level and should_refine(b):
-            tags.refine.add(b)
+            refine.append(b)
         elif should_coarsen is not None and b.level > 0 and should_coarsen(b):
-            tags.coarsen.add(b)
-    return tags
+            coarsen.append(b)
+    return RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen))
 
 
 def warmed_mesh(shape, periodic, max_level=3) -> AmrMesh:

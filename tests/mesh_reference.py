@@ -27,6 +27,7 @@ from repro.mesh.geometry import BlockIndex
 from repro.mesh.neighbors import NeighborGraph, NeighborKind
 from repro.mesh.octree import OctreeForest
 from repro.mesh.refinement import RefinementTags
+from repro.mesh.sfc import block_keys, unpack_block_keys
 
 
 def _directions(dim: int) -> List[Tuple[int, ...]]:
@@ -113,7 +114,7 @@ def build_neighbor_graph(forest: OctreeForest) -> NeighborGraph:
     else:
         edges = np.empty((0, 2), dtype=np.int64)
         kinds = np.empty((0,), dtype=np.int8)
-    return NeighborGraph(blocks, edges, kinds)
+    return NeighborGraph(block_keys(blocks), edges, kinds)
 
 
 def is_two_one_balanced(forest: OctreeForest) -> bool:
@@ -188,11 +189,12 @@ def apply_tags_reference(
     without changing the forest: the 2:1 closure of the refine tags,
     then the complete, unrefined sibling sets whose merge passes
     :func:`coarsen_is_safe` against the merges accepted before them in
-    ``(level, coords)`` order.
+    ``(level, coords)`` order.  The key tags are decoded to
+    :class:`BlockIndex` values on entry.
     """
-    refine = enforce_two_one_balance(forest, set(tags.refine))
+    refine = enforce_two_one_balance(forest, set(unpack_block_keys(tags.refine)))
     by_parent: Dict[BlockIndex, Set[BlockIndex]] = {}
-    for b in tags.coarsen:
+    for b in unpack_block_keys(tags.coarsen):
         if b in forest and b.level > 0 and b not in refine:
             by_parent.setdefault(b.parent(), set()).add(b)
     full = 1 << forest.dim

@@ -11,50 +11,51 @@ from repro.amr import (
     rank_schedule,
 )
 from repro.mesh import BlockIndex
+from repro.mesh.sfc import block_keys
 
 
 class TestCostTracker:
     def test_first_observation_sets_estimate(self):
         t = BlockCostTracker()
-        b = BlockIndex(0, (0, 0, 0))
-        t.observe(b, 3.0)
-        assert t.estimate(b) == 3.0
+        b = block_keys([BlockIndex(0, (0, 0, 0))])
+        t.observe_all(b, [3.0])
+        assert t.estimates(b)[0] == 3.0
 
     def test_ewma_smoothing(self):
         t = BlockCostTracker(alpha=0.5)
-        b = BlockIndex(0, (0, 0, 0))
-        t.observe(b, 2.0)
-        t.observe(b, 4.0)
-        assert t.estimate(b) == pytest.approx(3.0)
+        b = block_keys([BlockIndex(0, (0, 0, 0))])
+        t.observe_all(b, [2.0])
+        t.observe_all(b, [4.0])
+        assert t.estimates(b)[0] == pytest.approx(3.0)
 
     def test_child_inherits_parent_prior(self):
         t = BlockCostTracker()
         parent = BlockIndex(1, (1, 1, 1))
-        t.observe(parent, 5.0)
+        t.observe_all(block_keys([parent]), [5.0])
         child = parent.children()[2]
-        assert t.estimate(child) == 5.0
+        assert t.estimates(block_keys([child]))[0] == 5.0
 
     def test_unknown_block_default(self):
         t = BlockCostTracker(default_cost=2.5)
-        assert t.estimate(BlockIndex(0, (9, 9, 9))) == 2.5
+        assert t.estimates(block_keys([BlockIndex(0, (9, 9, 9))]))[0] == 2.5
 
     def test_forget_except(self):
         t = BlockCostTracker()
-        a, b = BlockIndex(0, (0, 0)), BlockIndex(0, (1, 0))
-        t.observe(a, 1.0)
-        t.observe(b, 1.0)
-        t.forget_except({a})
+        a, b = block_keys([BlockIndex(0, (0, 0))]), block_keys([BlockIndex(0, (1, 0))])
+        t.observe_all(a, [1.0])
+        t.observe_all(b, [1.0])
+        t.forget_except(a)
         assert len(t) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockCostTracker(alpha=0.0)
         with pytest.raises(ValueError):
-            BlockCostTracker().observe(BlockIndex(0, (0,)), -1.0)
+            BlockCostTracker().observe_all(block_keys([BlockIndex(0, (0,))]), [-1.0])
 
     def test_estimates_vector(self):
         t = BlockCostTracker()
-        blocks = [BlockIndex(0, (i, 0)) for i in range(3)]
+        blocks = block_keys([BlockIndex(0, (i, 0)) for i in range(3)])
         t.observe_all(blocks, np.array([1.0, 2.0, 3.0]))
         assert t.estimates(blocks).tolist() == [1.0, 2.0, 3.0]
 

@@ -26,7 +26,7 @@ class TestRunSummary:
         assert s.n_epochs == len(trajectory)
         assert s.lb_invocations == len(trajectory) - 1
         assert s.wall_s > 0
-        assert s.final_blocks == len(trajectory[-1].blocks)
+        assert s.final_blocks == len(trajectory[-1].keys)
         fr = s.phase_fractions()
         assert sum(fr.values()) == pytest.approx(1.0)
         assert "wall" in s.row()

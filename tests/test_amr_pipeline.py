@@ -73,7 +73,7 @@ class TestSimulation:
         sim.run(25)
         # The pipeline's learned per-block costs (EWMA of real kernel
         # measurements, CV ~ 1 near the shock):
-        costs = sim.tracker.estimates(sim.mesh.blocks)
+        costs = sim.tracker.estimates(sim.mesh.keys)
         assert costs.std() / costs.mean() > 0.2  # real variability learned
 
         def makespan(policy):

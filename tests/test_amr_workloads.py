@@ -78,13 +78,13 @@ class TestSedovTrajectory:
         assert trajectory[-1].step_start + trajectory[-1].n_steps == 600
 
     def test_block_counts_grow_with_shock(self, trajectory):
-        first, last = len(trajectory[0].blocks), len(trajectory[-1].blocks)
+        first, last = len(trajectory[0].keys), len(trajectory[-1].keys)
         assert first == 512  # one block per rank initially
         assert last > first
 
     def test_costs_positive_and_shock_weighted(self, trajectory):
         for e in trajectory[:: max(1, len(trajectory) // 5)]:
-            assert e.base_costs.shape == (len(e.blocks),)
+            assert e.base_costs.shape == (len(e.keys),)
             assert (e.base_costs > 0).all()
         mid = trajectory[len(trajectory) // 2]
         # Blocks near the shock must be the expensive ones.
@@ -92,7 +92,7 @@ class TestSedovTrajectory:
 
     def test_graph_matches_blocks(self, trajectory):
         for e in trajectory[:: max(1, len(trajectory) // 4)]:
-            assert e.graph.n_blocks == len(e.blocks)
+            assert e.graph.n_blocks == len(e.keys)
 
     def test_deterministic_given_seed(self):
         cfg = scaled_config(512, scale=8, steps=200)
@@ -114,13 +114,13 @@ class TestCooling:
         traj = CoolingWorkload(cfg).full_trajectory()
         assert len(traj) == 3
         # Mesh static across epochs; costs drift.
-        assert all(len(e.blocks) == len(traj[0].blocks) for e in traj)
+        assert all(len(e.keys) == len(traj[0].keys) for e in traj)
         assert not np.allclose(traj[0].base_costs, traj[1].base_costs)
 
     def test_refined_around_blobs(self):
         cfg = CoolingConfig(n_ranks=32, root_shape=(4, 4, 2), max_level=1)
         traj = CoolingWorkload(cfg).full_trajectory(max_steps=100)
-        assert len(traj[0].blocks) > 32  # blob refinement happened
+        assert len(traj[0].keys) > 32  # blob refinement happened
 
     def test_variability_knob(self):
         lo = CoolingConfig(n_ranks=8, root_shape=(2, 2, 2), variability=0.05, seed=1)
@@ -139,21 +139,25 @@ class TestCooling:
 class TestRedistribution:
     def test_carry_across_refinement(self):
         from repro.mesh import BlockIndex
+        from repro.mesh.sfc import block_keys
 
         old_blocks = [BlockIndex(0, (0, 0)), BlockIndex(0, (1, 0))]
         old_assign = np.array([3, 5])
         kids = old_blocks[0].children()
         new_blocks = list(kids) + [old_blocks[1]]
-        carried = carry_assignment(old_blocks, old_assign, new_blocks)
+        carried = carry_assignment(
+            block_keys(old_blocks), old_assign, block_keys(new_blocks)
+        )
         assert carried.tolist() == [3, 3, 3, 3, 5]
 
     def test_carry_across_coarsening(self):
         from repro.mesh import BlockIndex
+        from repro.mesh.sfc import block_keys
 
         parent = BlockIndex(0, (0, 0))
         kids = list(parent.children())
         old_assign = np.array([1, 2, 3, 4])
-        carried = carry_assignment(kids, old_assign, [parent])
+        carried = carry_assignment(block_keys(kids), old_assign, block_keys([parent]))
         assert carried.tolist() == [1]  # first child's rank
 
     def test_migration_accounting(self):

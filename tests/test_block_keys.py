@@ -9,15 +9,19 @@ cost tracker (EWMA updates, ancestor fallback, checkpoint state) and
 the remesh carry on every epoch pair of the 512-rank Sedov trajectory.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import BlockCostTracker, carry_assignment
+from repro.amr.driver import run_trajectory
 from repro.amr.sedov import SedovWorkload, scaled_config
 from repro.core import get_policy
-from repro.mesh import AmrMesh, BlockIndex, RefinementTags, RootGrid
+from repro.mesh import AmrMesh, BlockIndex, OctreeForest, RefinementTags, RootGrid
+from repro.mesh.neighbors import NeighborGraph
 from repro.mesh.sfc import (
     block_key,
     block_keys,
@@ -27,6 +31,7 @@ from repro.mesh.sfc import (
     pack_block_keys,
     unpack_block_keys,
 )
+from repro.simnet.cluster import Cluster
 
 #: per-dimension coordinate bits a key holds
 COORD_BITS = {1: 21, 2: 21, 3: 18}
@@ -126,14 +131,14 @@ class DictTracker:
 
 def _random_remesh(mesh, rng):
     blocks = mesh.blocks
-    tags = RefinementTags()
+    refine, coarsen = [], []
     for i in rng.choice(len(blocks), size=max(1, len(blocks) // 6), replace=False):
         b = blocks[int(i)]
         if rng.random() < 0.5:
-            tags.refine.add(b)
+            refine.append(b)
         elif b.level > 0:
-            tags.coarsen.add(b)
-    mesh.remesh(tags)
+            coarsen.append(b)
+    mesh.remesh(RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen)))
 
 
 def _probes(mesh, rng):
@@ -171,12 +176,8 @@ class TestTrackerParity:
             seen = [blocks[int(i)] for i in pick]
             measured = rng.lognormal(0.0, 0.5, size=len(seen))
             ref.observe_all(seen, measured)
-            if step % 2:
-                arr.observe_all(block_keys(seen), measured)
-            else:
-                arr.observe_all(seen, measured)
+            arr.observe_all(block_keys(seen), measured)
             probes = _probes(mesh, rng)
-            assert np.array_equal(arr.estimates(probes), ref.estimates(probes))
             assert np.array_equal(
                 arr.estimates(block_keys(probes)), ref.estimates(probes)
             )
@@ -188,16 +189,16 @@ class TestTrackerParity:
         parent = BlockIndex(1, (1, 1))
         kids = list(parent.children())
         ref, arr = DictTracker(), BlockCostTracker()
-        for t in (ref, arr):
-            t.observe_all([parent], [4.0])                       # level 1
-            t.observe_all(kids, [1.0, 2.0, 3.0, 5.0])            # refined
-            t.observe_all([k.children()[0] for k in kids[:2]],  # refined again
+        for t, ids in ((ref, list), (arr, block_keys)):
+            t.observe_all(ids([parent]), [4.0])                      # level 1
+            t.observe_all(ids(kids), [1.0, 2.0, 3.0, 5.0])           # refined
+            t.observe_all(ids([k.children()[0] for k in kids[:2]]),  # refined again
                           [7.0, 9.0])
-            t.observe_all([parent], [6.0])                       # coarsened back
+            t.observe_all(ids([parent]), [6.0])                      # coarsened back
         grandkids = [k.children()[3] for k in kids]
         probe = [parent] + kids + grandkids + [parent.parent()]
-        assert np.array_equal(arr.estimates(probe), ref.estimates(probe))
-        assert arr.estimate(parent) == 0.5 * 4.0 + 0.5 * 6.0
+        assert np.array_equal(arr.estimates(block_keys(probe)), ref.estimates(probe))
+        assert arr.estimates(block_keys([parent]))[0] == 0.5 * 4.0 + 0.5 * 6.0
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(7)
@@ -206,7 +207,7 @@ class TestTrackerParity:
         for _ in range(6):
             measured = rng.exponential(1.0, size=mesh.n_blocks)
             ref.observe_all(mesh.blocks, measured)
-            arr.observe_all(mesh.blocks, measured)
+            arr.observe_all(mesh.keys, measured)
             _random_remesh(mesh, rng)
         state = arr.state()
         assert _state_dict(state) == ref.est
@@ -219,24 +220,25 @@ class TestTrackerParity:
         arr.state()[1][:] = -1.0
         assert _state_dict(arr.state()) == ref.est
         measured = rng.exponential(1.0, size=mesh.n_blocks)
-        for t in (ref, arr, restored):
-            t.observe_all(mesh.blocks, measured)
+        ref.observe_all(mesh.blocks, measured)
+        for t in (arr, restored):
+            t.observe_all(mesh.keys, measured)
         probes = list(mesh.blocks)
-        assert np.array_equal(restored.estimates(probes), ref.estimates(probes))
-        assert np.array_equal(arr.estimates(probes), ref.estimates(probes))
+        assert np.array_equal(restored.estimates(mesh.keys), ref.estimates(probes))
+        assert np.array_equal(arr.estimates(mesh.keys), ref.estimates(probes))
 
     def test_forget_except_keeps_only_live(self):
         blocks = [BlockIndex(0, (i, 0)) for i in range(4)]
         arr = BlockCostTracker()
-        arr.observe_all(blocks, [1.0, 2.0, 3.0, 4.0])
-        arr.forget_except({blocks[1], blocks[3]})
+        arr.observe_all(block_keys(blocks), [1.0, 2.0, 3.0, 4.0])
+        arr.forget_except(block_keys([blocks[1], blocks[3]]))
         assert _state_dict(arr.state()) == {blocks[1]: 2.0, blocks[3]: 4.0}
         arr.forget_except(block_keys([blocks[3]]))
         assert _state_dict(arr.state()) == {blocks[3]: 4.0}
 
     def test_bad_measurements_rejected(self):
         arr = BlockCostTracker()
-        blocks = [BlockIndex(0, (0,)), BlockIndex(0, (1,))]
+        blocks = block_keys([BlockIndex(0, (0,)), BlockIndex(0, (1,))])
         with pytest.raises(ValueError):
             arr.observe_all(blocks, [1.0, -1.0])
         with pytest.raises(ValueError):
@@ -266,8 +268,10 @@ def sedov_512():
 
 class TestCarryParity:
     def test_epoch_keys_are_the_blocks_keys(self, sedov_512):
+        root = RootGrid(scaled_config(512, scale=8).root_shape)
         for ep in sedov_512:
-            assert np.array_equal(ep.keys, block_keys(ep.blocks))
+            forest = OctreeForest.from_leaves(root, unpack_block_keys(ep.keys))
+            assert np.array_equal(ep.keys, block_keys(forest.leaves_dfs()))
 
     def test_every_epoch_pair_of_sedov_512(self, sedov_512):
         changed = 0
@@ -275,10 +279,11 @@ class TestCarryParity:
             old = get_policy("lpt").place(prev.base_costs, 512).assignment
             # Holes from an eviction remap must carry through unchanged.
             old = np.where(np.arange(old.shape[0]) % 97 == 5, -1, old)
-            want = _dict_carry(prev.blocks, old, cur.blocks)
+            want = _dict_carry(
+                unpack_block_keys(prev.keys), old, unpack_block_keys(cur.keys)
+            )
             assert np.array_equal(carry_assignment(prev.keys, old, cur.keys), want)
-            assert np.array_equal(carry_assignment(prev.blocks, old, cur.blocks), want)
-            changed += prev.blocks != cur.blocks
+            changed += not np.array_equal(prev.keys, cur.keys)
         assert changed >= 5   # the trajectory refines and coarsens
 
     def test_repeated_old_block_last_owner_wins(self):
@@ -287,9 +292,30 @@ class TestCarryParity:
         assignment = np.array([1, 2, 3])
         new = [a, b, a.children()[1], BlockIndex(0, (5, 5))]
         want = _dict_carry(old, assignment, new)
-        assert carry_assignment(old, assignment, new).tolist() == want.tolist()
+        carried = carry_assignment(block_keys(old), assignment, block_keys(new))
+        assert carried.tolist() == want.tolist()
 
     def test_empty_sides(self):
-        a = BlockIndex(0, (0, 0))
-        assert carry_assignment([], np.empty(0, dtype=np.int64), [a]).tolist() == [-1]
-        assert carry_assignment([a], np.array([4]), []).shape == (0,)
+        a, none = block_keys([BlockIndex(0, (0, 0))]), np.empty(0, dtype=np.int64)
+        assert carry_assignment(none, none, a).tolist() == [-1]
+        assert carry_assignment(a, np.array([4]), none).shape == (0,)
+
+
+class TestSweepPathBuildsNoBlockIndex:
+    def test_trajectory_and_cplx_arm(self, monkeypatch):
+        """The sweep's trajectory and one placement arm pass keys only:
+        every key-to-:class:`BlockIndex` entry point is made to raise."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep path built a BlockIndex")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and hasattr(module, "unpack_block_keys"):
+                monkeypatch.setattr(module, "unpack_block_keys", refuse)
+        monkeypatch.setattr(AmrMesh, "blocks", property(refuse))
+        monkeypatch.setattr(NeighborGraph, "blocks", property(refuse))
+        monkeypatch.setattr(BlockIndex, "__post_init__", refuse)
+        epochs = SedovWorkload(scaled_config(512, scale=8, steps=300)).full_trajectory()
+        summary = run_trajectory(get_policy("cplx:50"), epochs, Cluster(n_ranks=512))
+        assert len(epochs) == summary.n_epochs == 21
+        assert summary.final_blocks == len(epochs[-1].keys)

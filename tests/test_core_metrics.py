@@ -26,7 +26,7 @@ def toy_graph() -> NeighborGraph:
     kinds = np.array(
         [NeighborKind.FACE, NeighborKind.EDGE, NeighborKind.VERTEX], dtype=np.int8
     )
-    return NeighborGraph([None] * 4, edges, kinds)
+    return NeighborGraph(np.arange(4), edges, kinds)
 
 
 class TestLoadStats:

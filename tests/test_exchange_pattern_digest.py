@@ -66,14 +66,14 @@ def pattern_digest(epochs) -> str:
 
     last = epochs[-1]
     cluster = Cluster(n_ranks=N_RANKS)
-    one_rank = np.zeros(len(last.blocks), dtype=np.int64)
+    one_rank = np.zeros(len(last.keys), dtype=np.int64)
     _update(h, "one-rank", ExchangePattern.from_mesh(
         last.graph, one_rank, last.base_costs, cluster
     ))
     edgeless = NeighborGraph(
-        last.blocks, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int8)
+        last.keys, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int8)
     )
-    spread = np.arange(len(last.blocks), dtype=np.int64) % N_RANKS
+    spread = np.arange(len(last.keys), dtype=np.int64) % N_RANKS
     _update(h, "edgeless", ExchangePattern.from_mesh(
         edgeless, spread, last.base_costs, cluster
     ))

@@ -114,7 +114,7 @@ class TestSolverMisuse:
                        max_level=1)
         s = EulerSolver2D(mesh)
         s.initialize(sod_initial_state())
-        mesh.remesh(RefinementTags(refine={mesh.blocks[0]}))
+        mesh.remesh(RefinementTags(refine=mesh.keys[:1]))
         with pytest.raises((KeyError, RuntimeError)):
             s.step()  # solver data lacks the new leaves
 

@@ -13,8 +13,9 @@ from repro.mesh import (
     RefinementTags,
     RootGrid,
     block_bounds,
-    build_neighbor_graph_fast,
+    build_neighbor_graph,
 )
+from repro.mesh.sfc import block_keys, unpack_block_keys
 
 from tests.helpers import tag_by_predicate, warmed_mesh
 from tests.mesh_reference import is_two_one_balanced
@@ -23,14 +24,15 @@ from tests.mesh_reference import is_two_one_balanced
 def assert_mesh_consistent(mesh: AmrMesh) -> None:
     """Every cached derived structure matches a from-scratch rebuild:
     blocks, edge rows in the same order, and kinds."""
-    graph, rebuilt = mesh.neighbor_graph, build_neighbor_graph_fast(mesh.forest)
+    graph, rebuilt = mesh.neighbor_graph, build_neighbor_graph(mesh.forest)
     assert graph.blocks == rebuilt.blocks
     assert np.array_equal(graph.edges, rebuilt.edges)
     assert np.array_equal(graph.kinds, rebuilt.kinds)
     assert mesh.blocks == mesh.forest.leaves_dfs()
     assert mesh.blocks == mesh.neighbor_graph.blocks
+    ids = mesh.forest.ids_of(block_keys(mesh.blocks))
     for i, b in enumerate(mesh.blocks):
-        assert mesh.block_id(b) == i
+        assert ids[i] == i
     coords, levels = mesh._geometry()
     assert np.array_equal(
         coords, np.asarray([b.coords for b in mesh.blocks], dtype=np.int64)
@@ -50,7 +52,7 @@ def random_tags(mesh: AmrMesh, rng, p_refine=0.25, p_coarsen=0.25) -> Refinement
         b for b in leaves
         if b.level > 0 and b not in refine and rng.random() < p_coarsen
     }
-    return RefinementTags(refine=refine, coarsen=coarsen)
+    return RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen))
 
 
 class TestGeometryCaches:
@@ -70,7 +72,7 @@ class TestGeometryCaches:
         blocks_before = list(mesh2d.blocks)
         gen = mesh2d.generation
         target = [b for b in mesh2d.blocks if b.level == 1][0]
-        mesh2d.remesh(RefinementTags(refine={target}))
+        mesh2d.remesh(RefinementTags(refine=block_keys([target])))
         assert mesh2d.generation == gen + 1
         assert list(mesh2d.blocks) != blocks_before
         assert mesh2d.levels().shape[0] == mesh2d.n_blocks
@@ -95,13 +97,14 @@ class TestFacade:
         assert np.allclose(hi.max(axis=0), [1.0, 2.0])
 
     def test_block_id_lookup(self, mesh2d):
+        ids = mesh2d.forest.ids_of(block_keys(mesh2d.blocks))
         for i, b in enumerate(mesh2d.blocks):
-            assert mesh2d.block_id(b) == i
+            assert ids[i] == i
 
     def test_copy_independent(self, mesh2d):
         clone = mesh2d.copy()
         target = [b for b in mesh2d.blocks if b.level == 1][0]
-        mesh2d.remesh(RefinementTags(refine={target}))
+        mesh2d.remesh(RefinementTags(refine=block_keys([target])))
         assert clone.n_blocks != mesh2d.n_blocks
 
     def test_remesh_by_predicate(self):
@@ -156,7 +159,7 @@ def trajectory_digest(epochs) -> str:
     h = hashlib.sha256()
     for ep in epochs:
         head = [ep.index, ep.step_start, ep.n_steps, ep.n_refined, ep.n_coarsened]
-        head += [x for b in ep.blocks for x in (b.level, *b.coords)]
+        head += [x for b in unpack_block_keys(ep.keys) for x in (b.level, *b.coords)]
         h.update(np.asarray(head, dtype=np.int64).tobytes())
         h.update(np.asarray(ep.base_costs, dtype=np.float64).tobytes())
         h.update(np.asarray(ep.graph.edges, dtype=np.int64).tobytes())
@@ -175,5 +178,5 @@ SEDOV_512_120_DIGEST = (
 class TestSedovTrajectoryDigest:
     def test_pinned_digest(self):
         epochs = SedovWorkload(scaled_config(512, scale=8, steps=120)).full_trajectory()
-        assert len(epochs) == 12 and len(epochs[-1].blocks) == 2472
+        assert len(epochs) == 12 and len(epochs[-1].keys) == 2472
         assert trajectory_digest(epochs) == SEDOV_512_120_DIGEST

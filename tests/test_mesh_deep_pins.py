@@ -5,8 +5,9 @@ anything, so the Sedov digests alone do not cover them.  These runs
 refine to levels 2-4 and coarsen back.  Each digest hashes, in order,
 every remesh delta (refined leaves, then merged parents, as
 ``(level, *coords)`` rows) and every epoch's or step's leaves, neighbor
-edges and kinds.  The constants were recorded before the forest moved
-to packed-key arrays and must not change.
+edges and kinds.  Deltas and leaves arrive as packed keys and are
+decoded to rows here.  The constants were recorded before the forest
+moved to packed-key arrays and must not change.
 """
 
 import dataclasses
@@ -19,10 +20,11 @@ from repro.amr.cooling import CoolingConfig, CoolingWorkload
 from repro.amr.sedov import SedovWorkload, scaled_config
 from repro.bench.commbench import random_refined_mesh
 from repro.mesh import AmrMesh, RefinementTags, RootGrid
+from repro.mesh.sfc import block_keys, unpack_block_keys
 
 
-def _rows(blocks) -> bytes:
-    flat = [x for b in blocks for x in (b.level, *b.coords)]
+def _rows(keys) -> bytes:
+    flat = [x for b in unpack_block_keys(keys) for x in (b.level, *b.coords)]
     return np.asarray(flat, dtype=np.int64).tobytes()
 
 
@@ -65,7 +67,7 @@ def digest(monkeypatch):
 
 def _trajectory(d: _Digest, epochs) -> None:
     for ep in epochs:
-        d.mesh(ep.blocks, ep.graph)
+        d.mesh(ep.keys, ep.graph)
 
 
 def _random_sequence(d: _Digest, periodic: bool) -> int:
@@ -82,8 +84,8 @@ def _random_sequence(d: _Digest, periodic: bool) -> int:
             b for b in leaves
             if b.level > 0 and b not in refine and rng.random() < 0.6
         }
-        mesh.remesh(RefinementTags(refine=refine, coarsen=coarsen))
-        d.mesh(mesh.blocks, mesh.neighbor_graph)
+        mesh.remesh(RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen)))
+        d.mesh(mesh.keys, mesh.neighbor_graph)
     return mesh.n_blocks
 
 
@@ -111,14 +113,14 @@ class TestDeepMeshPins:
     def test_cooling_trajectory(self, digest):
         cfg = CoolingConfig(n_ranks=64, root_shape=(4, 4, 4), t_total=300)
         epochs = CoolingWorkload(cfg).full_trajectory()
-        assert len(epochs) == 3 and len(epochs[0].blocks) == 1205
+        assert len(epochs) == 3 and len(epochs[0].keys) == 1205
         _trajectory(digest, epochs)
         assert digest.hexdigest() == COOLING_DIGEST
 
     @pytest.mark.parametrize("seed", sorted(COMMBENCH_DIGESTS))
     def test_commbench_random_refined_mesh(self, digest, seed):
         mesh = random_refined_mesh(128, 4.0, np.random.default_rng(seed))
-        digest.mesh(mesh.blocks, mesh.neighbor_graph)
+        digest.mesh(mesh.keys, mesh.neighbor_graph)
         assert digest.hexdigest() == COMMBENCH_DIGESTS[seed]
 
     def test_sedov_max_level_3(self, digest):
@@ -127,7 +129,7 @@ class TestDeepMeshPins:
             n_ranks=32, mesh_cells=(8, 8, 4), block_cells=2, max_level=3,
         )
         epochs = SedovWorkload(cfg).full_trajectory()
-        assert len(epochs) == 10 and len(epochs[-1].blocks) == 3112
+        assert len(epochs) == 10 and len(epochs[-1].keys) == 3112
         assert any(ep.n_coarsened for ep in epochs)
         _trajectory(digest, epochs)
         assert digest.hexdigest() == SEDOV_DEEP_DIGEST

@@ -1,16 +1,21 @@
-"""Unit + property tests for cross-level neighbor discovery."""
+"""Unit + property tests for cross-level neighbor discovery, and the
+vectorized graph builder against the per-block reference
+(:mod:`tests.mesh_reference`)."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mesh import AmrMesh, RefinementTags
 from repro.mesh.geometry import BlockIndex, RootGrid
-from repro.mesh.neighbors import NeighborKind
+from repro.mesh.neighbors import NeighborKind, build_neighbor_graph
 from repro.mesh.octree import OctreeForest
+from repro.mesh.sfc import block_keys
 
+from tests import mesh_reference
 from tests.helpers import random_forest
-from tests.mesh_reference import build_neighbor_graph, find_neighbors
+from tests.mesh_reference import find_neighbors, is_two_one_balanced
 
 
 class TestUniformGrid:
@@ -121,7 +126,7 @@ class TestGraph:
 
     def test_empty_single_block(self):
         f = OctreeForest(RootGrid((1, 1, 1)))
-        g = build_neighbor_graph(f)
+        g = mesh_reference.build_neighbor_graph(f)
         assert g.n_edges == 0
         assert g.degree().tolist() == [0]
 
@@ -145,3 +150,92 @@ class TestNeighborGraphStructure:
         weights = g.edge_weights({NeighborKind.FACE: 4.0, NeighborKind.EDGE: 2.0,
                                   NeighborKind.VERTEX: 1.0})
         assert set(weights.tolist()) == {4.0, 2.0, 1.0}
+
+
+# ---------------------------------------------------------------------- #
+# the vectorized builder against the per-block reference
+# ---------------------------------------------------------------------- #
+
+
+def graphs_equal(g1, g2) -> bool:
+    if g1.blocks != g2.blocks:
+        return False
+    e1 = set(map(tuple, np.column_stack([g1.edges, g1.kinds]).tolist()))
+    e2 = set(map(tuple, np.column_stack([g2.edges, g2.kinds]).tolist()))
+    return e1 == e2
+
+
+def balanced_random_mesh(seed: int, dim: int = 2) -> AmrMesh:
+    """Random mesh built through apply_tags (balance-preserving)."""
+    rng = np.random.default_rng(seed)
+    shape = (2,) * dim
+    periodic = tuple(bool(rng.integers(2)) for _ in range(dim))
+    mesh = AmrMesh(RootGrid(shape, periodic=periodic), max_level=3)
+    for _ in range(3):
+        leaves = sorted(mesh.forest.leaves(), key=lambda b: (b.level, b.coords))
+        refine = {
+            b for b in leaves
+            if b.level < mesh.forest.max_level and rng.random() < 0.3
+        }
+        coarsen = {
+            b for b in leaves
+            if b.level > 0 and b not in refine and rng.random() < 0.3
+        }
+        mesh.remesh(RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen)))
+    return mesh
+
+
+class TestEquivalence:
+    @given(st.integers(0, 80))
+    @settings(max_examples=30)
+    def test_matches_reference_on_balanced_2d(self, seed):
+        mesh = balanced_random_mesh(seed, dim=2)
+        assert is_two_one_balanced(mesh.forest)
+        ref = mesh_reference.build_neighbor_graph(mesh.forest)
+        fast = build_neighbor_graph(mesh.forest)
+        assert graphs_equal(ref, fast)
+
+    @given(st.integers(0, 30))
+    @settings(max_examples=10)
+    def test_matches_reference_on_balanced_3d(self, seed):
+        mesh = balanced_random_mesh(seed, dim=3)
+        ref = mesh_reference.build_neighbor_graph(mesh.forest)
+        fast = build_neighbor_graph(mesh.forest)
+        assert graphs_equal(ref, fast)
+
+    def test_uniform_grids(self):
+        for shape, periodic in (((4, 4, 4), (False,) * 3),
+                                ((4, 4, 4), (True,) * 3),
+                                ((2, 3, 5), (False, True, False))):
+            f = OctreeForest(RootGrid(shape, periodic=periodic))
+            assert graphs_equal(mesh_reference.build_neighbor_graph(f),
+                                build_neighbor_graph(f))
+
+    def test_single_block(self):
+        f = OctreeForest(RootGrid((1, 1, 1)))
+        g = build_neighbor_graph(f)
+        assert g.n_edges == 0
+
+
+class TestUnbalancedHandling:
+    def unbalanced_forest(self) -> OctreeForest:
+        f = OctreeForest(RootGrid((2, 2)), max_level=3)
+        from repro.mesh import BlockIndex
+
+        f.refine(BlockIndex(0, (0, 0)))
+        # Refine the child abutting the unrefined (1,0) root block: its
+        # level-2 children then face a level-0 leaf -> 2:1 violated.
+        f.refine(BlockIndex(1, (1, 0)))
+        assert not is_two_one_balanced(f)
+        return f
+
+    def test_matches_reference_on_unbalanced(self):
+        f = self.unbalanced_forest()
+        assert graphs_equal(build_neighbor_graph(f), mesh_reference.build_neighbor_graph(f))
+
+    @given(st.integers(0, 60))
+    @settings(max_examples=20)
+    def test_matches_reference_on_random_forests(self, seed):
+        # Per-block refine/coarsen walks, often deeper than 2:1 allows.
+        f = random_forest(seed, n_ops=10, dim=2 + seed % 2)
+        assert graphs_equal(build_neighbor_graph(f), mesh_reference.build_neighbor_graph(f))

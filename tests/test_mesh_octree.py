@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.mesh.geometry import BlockIndex, RootGrid
 from repro.mesh.octree import OctreeForest
-from repro.mesh.sfc import sfc_sort_blocks
+from repro.mesh.sfc import block_keys, sfc_sort_blocks
 from tests.helpers import random_forest
 
 
@@ -75,8 +75,8 @@ class TestTraversal:
 
     def test_block_ids_sequential(self):
         f = random_forest(3)
-        ids = f.block_ids()
-        assert sorted(ids.values()) == list(range(f.n_leaves))
+        ids = f.ids_of(block_keys(f.leaves()))
+        assert sorted(ids.tolist()) == list(range(f.n_leaves))
 
 
 class TestQueries:

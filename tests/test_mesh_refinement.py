@@ -14,6 +14,7 @@ from repro.mesh.refinement import (
     apply_tags,
     enforce_two_one_balance,
 )
+from repro.mesh.sfc import block_keys, unpack_block_keys
 
 from tests.helpers import random_forest, tag_by_predicate, warmed_mesh
 from tests.mesh_reference import apply_tags_reference, is_two_one_balanced
@@ -24,7 +25,44 @@ class TestTags:
     def test_conflicting_tags_rejected(self):
         b = BlockIndex(0, (0, 0))
         with pytest.raises(ValueError):
-            RefinementTags(refine={b}, coarsen={b})
+            RefinementTags(refine=block_keys([b]), coarsen=block_keys([b]))
+
+    def test_overlap_among_mesh_keys_rejected(self):
+        # Tags built from mesh key slices, the way the producers build
+        # them, are checked too.
+        mesh = AmrMesh(RootGrid((3, 3)), max_level=2)
+        with pytest.raises(ValueError, match="both refine and coarsen"):
+            RefinementTags(refine=mesh.keys[:5], coarsen=mesh.keys[4:])
+
+    @pytest.mark.parametrize("field", ["refine", "coarsen"])
+    def test_float_keys_rejected(self, field):
+        with pytest.raises(ValueError, match=f"RefinementTags.{field}"):
+            RefinementTags(**{field: np.array([1.0, 2.0])})
+
+    @pytest.mark.parametrize("field", ["refine", "coarsen"])
+    def test_2d_keys_rejected(self, field):
+        with pytest.raises(ValueError, match=f"RefinementTags.{field}"):
+            RefinementTags(**{field: np.zeros((2, 2), dtype=np.int64)})
+
+    def test_block_index_set_rejected(self):
+        with pytest.raises(ValueError, match="RefinementTags.refine"):
+            RefinementTags(refine={BlockIndex(0, (0, 0))})
+
+    def test_keys_held_sorted_and_distinct(self):
+        tags = RefinementTags(refine=np.array([9, 3, 9], dtype=np.int32))
+        assert tags.refine.dtype == np.int64 and tags.refine.tolist() == [3, 9]
+        assert RefinementTags(coarsen=[]).coarsen.shape == (0,)
+
+    def test_keys_that_are_not_leaves_are_dropped(self):
+        mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
+        leaf = mesh.keys[1:2]
+        child = block_keys([BlockIndex(1, (0, 0))])  # below a leaf
+        other_dim = block_keys([BlockIndex(0, (0, 0, 0))])
+        delta = mesh.remesh(
+            RefinementTags(refine=np.concatenate([leaf, child, other_dim, [-1, 7]]))
+        )
+        assert delta.refined.tolist() == leaf.tolist()
+        assert delta.coarsened.shape == (0,)
 
 
 class TestBalanceClosure:
@@ -36,7 +74,7 @@ class TestBalanceClosure:
         k2 = f.refine(k1[0])
         assert is_two_one_balanced(f)
         target = k2[0]  # level 2, adjacent to level-1 siblings only
-        closure = enforce_two_one_balance(f, {target})
+        closure = unpack_block_keys(enforce_two_one_balance(f, block_keys([target])))
         assert target in closure
         # Refining level-2 forces no cascade here (neighbors are level 1).
         f2 = f.copy()
@@ -51,7 +89,9 @@ class TestBalanceClosure:
         f.refine(BlockIndex(0, (0, 0)))
         f.refine(BlockIndex(1, (0, 0)))
         assert is_two_one_balanced(f)
-        closure = enforce_two_one_balance(f, {BlockIndex(2, (1, 1))})
+        closure = unpack_block_keys(
+            enforce_two_one_balance(f, block_keys([BlockIndex(2, (1, 1))]))
+        )
         f2 = f.copy()
         for b in sorted(closure, key=lambda x: (x.level, x.coords)):
             f2.refine(b)
@@ -69,7 +109,7 @@ class TestBalanceClosure:
         if not refinable:
             return
         tags = {refinable[int(rng.integers(len(refinable)))] for _ in range(n_tags)}
-        closure = enforce_two_one_balance(f, tags)
+        closure = set(unpack_block_keys(enforce_two_one_balance(f, block_keys(tags))))
         assert tags & set(f.leaves()) <= closure | {
             b for b in tags if b.level >= f.max_level
         }
@@ -82,7 +122,7 @@ class TestApplyTags:
     def test_refine_wins_over_coarsen(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         kids = f.refine(BlockIndex(0, (0, 0)))
-        tags = RefinementTags(refine={kids[0]}, coarsen=set(kids[1:]))
+        tags = RefinementTags(refine=block_keys(kids[:1]), coarsen=block_keys(kids[1:]))
         n_ref, n_coarse = apply_tags(f, tags)
         assert n_ref == 1
         assert n_coarse == 0  # sibling set incomplete once kids[0] refined
@@ -91,7 +131,7 @@ class TestApplyTags:
     def test_full_sibling_coarsen(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         kids = f.refine(BlockIndex(0, (0, 0)))
-        n_ref, n_coarse = apply_tags(f, RefinementTags(coarsen=set(kids)))
+        n_ref, n_coarse = apply_tags(f, RefinementTags(coarsen=block_keys(kids)))
         assert (n_ref, n_coarse) == (0, 1)
         assert BlockIndex(0, (0, 0)) in f
 
@@ -104,8 +144,8 @@ class TestApplyTags:
         # merge the right block back while tagging its left-adjacent fine
         # neighbors for refinement.
         tags = RefinementTags(
-            refine={left[1], left[3]},  # children on the x+ side -> level 2
-            coarsen=set(right),
+            refine=block_keys([left[1], left[3]]),  # children on the x+ side -> level 2
+            coarsen=block_keys(right),
         )
         n_ref, n_coarse = apply_tags(f, tags)
         # The two tagged refinements cascade into the two level-0 blocks
@@ -128,7 +168,9 @@ class TestApplyTags:
                 b for b in leaves
                 if b.level > 0 and b not in refine and rng.random() < 0.4
             }
-            apply_tags(f, RefinementTags(refine=refine, coarsen=coarsen))
+            apply_tags(
+                f, RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen))
+            )
             f.validate()
             assert is_two_one_balanced(f)
 
@@ -142,13 +184,13 @@ class TestTagByPredicate:
             should_refine=lambda b: b.coords == (0, 0),
             should_coarsen=lambda b: b.level > 0,
         )
-        assert tags.refine == {BlockIndex(0, (0, 0))}
+        assert set(unpack_block_keys(tags.refine)) == {BlockIndex(0, (0, 0))}
         assert len(tags.coarsen) == 4
 
     def test_max_level_not_tagged_for_refine(self):
         f = OctreeForest(RootGrid((2, 2)), max_level=0)
         tags = tag_by_predicate(f, should_refine=lambda b: True)
-        assert not tags.refine
+        assert not tags.refine.size
 
 
 # ---------------------------------------------------------------------- #
@@ -160,19 +202,20 @@ class TestRemeshDelta:
     def test_unpacks_as_historical_tuple(self):
         mesh = AmrMesh(RootGrid((2, 2)), max_level=2)
         target = mesh.blocks[0]
-        n_ref, n_coars = mesh.remesh(RefinementTags(refine={target}))
+        n_ref, n_coars = mesh.remesh(RefinementTags(refine=block_keys([target])))
         assert (n_ref, n_coars) == (1, 0)
 
     def test_bool_and_counts(self):
-        empty = RemeshDelta(refined=(), coarsened=())
+        none = np.empty(0, dtype=np.int64)
+        empty = RemeshDelta(refined=none, coarsened=none)
         assert not empty and not empty.changed
-        one = RemeshDelta(refined=(BlockIndex(0, (0, 0)),), coarsened=())
+        one = RemeshDelta(refined=block_keys([BlockIndex(0, (0, 0))]), coarsened=none)
         assert one and one.n_refined == 1 and one.n_coarsened == 0
 
     def test_touched(self):
         b = BlockIndex(1, (0, 0))
         p = BlockIndex(0, (1, 0))
-        d = RemeshDelta(refined=(b,), coarsened=(p,))
+        d = RemeshDelta(refined=block_keys([b]), coarsened=block_keys([p]))
         # 2D: each event removes/adds 1 + 4 leaves
         assert d.touched == 2 * (1 + 4)
 
@@ -185,16 +228,17 @@ class TestRemeshDelta:
 class TestBlockId:
     def test_block_id_matches_list_index(self):
         mesh = warmed_mesh((2, 2), (False, False))
-        mesh.remesh(RefinementTags(refine={mesh.blocks[1]}))
+        mesh.remesh(RefinementTags(refine=mesh.keys[1:2]))
+        ids = mesh.forest.ids_of(block_keys(mesh.blocks))
         for i, b in enumerate(mesh.blocks):
-            assert mesh.block_id(b) == i
+            assert ids[i] == i
 
     def test_block_id_rejects_non_leaf(self):
         mesh = warmed_mesh((2, 2), (False, False))
-        target = mesh.blocks[0]
-        mesh.remesh(RefinementTags(refine={target}))
-        with pytest.raises(ValueError):
-            mesh.block_id(target)  # refined away — no longer a leaf
+        target = mesh.keys[:1]
+        mesh.remesh(RefinementTags(refine=target))
+        # refined away — no longer a leaf, so it has no block ID
+        assert mesh.forest.ids_of(target).size == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -209,7 +253,7 @@ class TestBalanceCascade:
         corner = BlockIndex(0, (0, 0))
         # stop one level short so the deepest corner leaf is refinable
         for _ in range(max_level - 1):
-            apply_tags(mesh.forest, RefinementTags(refine={corner}))
+            apply_tags(mesh.forest, RefinementTags(refine=block_keys([corner])))
             corner = corner.children()[0]
         assert is_two_one_balanced(mesh.forest)
         # The domain-corner leaf only has same-level siblings; its
@@ -221,7 +265,7 @@ class TestBalanceCascade:
 
     def test_deep_cascade_closure_correct(self):
         forest, corner = self.deep_gradient_forest()
-        closed = enforce_two_one_balance(forest, {corner})
+        closed = unpack_block_keys(enforce_two_one_balance(forest, block_keys([corner])))
         assert corner in closed
         assert len(closed) > 1  # the refinement ripples down the gradient
         for b in closed:
@@ -240,7 +284,7 @@ class TestBalanceCascade:
             return real(index, root, level, ids)
 
         monkeypatch.setattr(refinement_mod, "probe_regions", counting)
-        closed = enforce_two_one_balance(forest, {corner})
+        closed = unpack_block_keys(enforce_two_one_balance(forest, block_keys([corner])))
         # Linear closure: each block that enters the result is probed
         # exactly once, and level-0 blocks (no coarser neighbor) never.
         assert probed["n"] == sum(1 for b in closed if b.level > 0)
@@ -263,7 +307,7 @@ def _random_tags(forest, rng, p_refine, p_coarsen) -> RefinementTags:
         into, other = (refine, coarsen) if rng.random() < 0.5 else (coarsen, refine)
         if extra not in other:
             into.add(extra)
-    return RefinementTags(refine=refine, coarsen=coarsen)
+    return RefinementTags(refine=block_keys(refine), coarsen=block_keys(coarsen))
 
 
 class TestDifferentialAgainstReference:
@@ -286,8 +330,8 @@ class TestDifferentialAgainstReference:
             tags = _random_tags(forest, rng, p_ref, p_coa)
             refined, coarsened = apply_tags_reference(forest, tags)
             delta = apply_tags(forest, tags)
-            assert list(delta.refined) == refined
-            assert list(delta.coarsened) == coarsened
+            assert unpack_block_keys(delta.refined) == refined
+            assert unpack_block_keys(delta.coarsened) == coarsened
             forest.validate()
         assert is_two_one_balanced(forest)
 
@@ -298,9 +342,11 @@ class TestDifferentialAgainstReference:
         # coarsen check still agree with the reference there.
         forest = random_forest(seed, n_ops=8, dim=dim)
         tags = _random_tags(forest, np.random.default_rng(seed), p_ref, 0.7)
-        assert enforce_two_one_balance(forest, tags.refine) == (
-            reference_closure(forest, tags.refine)
+        assert set(unpack_block_keys(enforce_two_one_balance(forest, tags.refine))) == (
+            reference_closure(forest, set(unpack_block_keys(tags.refine)))
         )
         refined, coarsened = apply_tags_reference(forest, tags)
         delta = apply_tags(forest, tags)
-        assert (list(delta.refined), list(delta.coarsened)) == (refined, coarsened)
+        assert (
+            unpack_block_keys(delta.refined), unpack_block_keys(delta.coarsened)
+        ) == (refined, coarsened)

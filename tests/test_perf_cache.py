@@ -12,6 +12,7 @@ from repro.core.policy import get_policy
 from repro.engine.types import DriverConfig
 from repro.mesh.geometry import BlockIndex
 from repro.mesh.neighbors import NeighborGraph
+from repro.mesh.sfc import block_keys
 from repro.perf.cache import SharedPatternCache
 from repro.perf.supervisor import SWEEP_CONFIG, SupervisorConfig
 from repro.resilience.experiment import small_workload
@@ -77,7 +78,7 @@ class TestLookup:
         epoch = epochs[0]
         assignment = _assignment(epoch, cluster)
         twin = NeighborGraph(
-            list(epoch.graph.blocks), epoch.graph.edges.copy(),
+            epoch.graph.keys.copy(), epoch.graph.edges.copy(),
             epoch.graph.kinds.copy(),
         )
         assert twin is not epoch.graph
@@ -186,7 +187,7 @@ class TestLookup:
 class TestGraphFingerprint:
     def test_equal_graphs_equal_fingerprints(self, epochs):
         g = epochs[0].graph
-        twin = NeighborGraph(list(g.blocks), g.edges.copy(), g.kinds.copy())
+        twin = NeighborGraph(g.keys.copy(), g.edges.copy(), g.kinds.copy())
         fp = SharedPatternCache._graph_fingerprint
         assert fp(twin) == fp(g)
 
@@ -199,13 +200,13 @@ class TestGraphFingerprint:
             BlockIndex(b.level + 1, b.coords) if change == "level"
             else BlockIndex(b.level, (b.coords[0] + 1,) + b.coords[1:])
         )
-        other = NeighborGraph(blocks, g.edges.copy(), g.kinds.copy())
+        other = NeighborGraph(block_keys(blocks), g.edges.copy(), g.kinds.copy())
         fp = SharedPatternCache._graph_fingerprint
         assert fp(other) != fp(g)
 
     def test_keys_only_graph_needs_no_blocks(self, epochs):
         g = epochs[0].graph
-        keyed = NeighborGraph(None, g.edges, g.kinds, keys=g.keys)
+        keyed = NeighborGraph(g.keys, g.edges, g.kinds)
         assert SharedPatternCache._graph_fingerprint(keyed) == (
             SharedPatternCache._graph_fingerprint(g)
         )

@@ -26,7 +26,7 @@ def assert_trajectories_equal(a, b):
         assert (ea.index, ea.step_start, ea.n_steps) == (
             eb.index, eb.step_start, eb.n_steps
         )
-        assert ea.blocks == eb.blocks
+        assert np.array_equal(ea.keys, eb.keys)
         assert np.array_equal(ea.base_costs, eb.base_costs)
         assert ea.graph.edges.shape == eb.graph.edges.shape
         assert np.array_equal(ea.graph.edges, eb.graph.edges)

@@ -50,7 +50,7 @@ class TestExchangePattern:
         rpn = cluster.ranks_per_node
         edges = random_edges(rng, n_blocks, factor=int(rng.integers(0, 4)))
         kinds = rng.integers(1, 4, size=len(edges)).astype(np.int8)
-        graph = NeighborGraph([None] * n_blocks, edges, kinds)
+        graph = NeighborGraph(np.arange(n_blocks), edges, kinds)
         costs = np.ones(n_blocks)
         spread = rng.integers(0, n_ranks, size=n_blocks)
         one_rank = np.zeros(n_blocks, dtype=np.int64)
@@ -63,7 +63,7 @@ class TestExchangePattern:
 
     def test_message_counts_edgeless(self):
         graph = NeighborGraph(
-            [None] * 5, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int8)
+            np.arange(5), np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int8)
         )
         pattern = ExchangePattern.from_mesh(
             graph, np.arange(5) % 2, np.ones(5), Cluster(n_ranks=32)
