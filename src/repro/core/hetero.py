@@ -60,8 +60,7 @@ def hetero_lpt_assign(
     cost is ``O(n (log r + k))``.
 
     With a single speed class this reduces *exactly* to
-    :func:`repro.core.lpt.lpt_assign` (same heap discipline, same
-    tie-breaks).
+    :func:`repro.core.lpt.lpt_assign` (same picks and tie-breaks).
     """
     costs = np.asarray(costs, dtype=np.float64)
     speeds = np.asarray(speeds, dtype=np.float64)

@@ -48,6 +48,7 @@ __all__ = [
     "NeighborGraph",
     "build_neighbor_graph",
     "directions",
+    "kind_weight_table",
     "probe_regions",
 ]
 
@@ -131,13 +132,19 @@ class NeighborGraph:
         key = tuple(sorted((int(k), float(w)) for k, w in weights_by_kind.items()))
         w = self._weights.get(key)
         if w is None:
-            lut = np.zeros(int(max(NeighborKind)) + 1, dtype=np.float64)
-            for k, wt in key:
-                lut[k] = wt
-            w = lut[self.kinds]
+            w = kind_weight_table(weights_by_kind)[self.kinds]
             w.setflags(write=False)
             self._weights[key] = w
         return w
+
+
+def kind_weight_table(weights_by_kind: Dict[NeighborKind, float]) -> np.ndarray:
+    """Per-kind weights as a table indexed by :class:`NeighborKind`
+    value; kinds the mapping leaves out weigh 0."""
+    table = np.zeros(int(max(NeighborKind)) + 1, dtype=np.float64)
+    for k, w in weights_by_kind.items():
+        table[int(k)] = float(w)
+    return table
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..core.metrics import DEFAULT_MESSAGE_WEIGHTS
-from ..mesh.neighbors import NeighborGraph
+from ..mesh.neighbors import NeighborGraph, kind_weight_table
 from .cluster import Cluster
 from .faults import NO_FAULTS, FaultModel
 from .machine import DEFAULT_FABRIC, FabricSpec
@@ -106,7 +106,8 @@ class ExchangePattern:
         n_ranks = cluster.n_ranks
         assignment = np.asarray(assignment, dtype=np.int64)
         loads = np.bincount(assignment, weights=costs, minlength=n_ranks)
-        w = graph.edge_weights(weights or DEFAULT_MESSAGE_WEIGHTS)
+        weights = weights or DEFAULT_MESSAGE_WEIGHTS
+        w = graph.edge_weights(weights)
 
         if graph.n_edges == 0:
             z = np.zeros(n_ranks, dtype=np.float64)
@@ -125,45 +126,53 @@ class ExchangePattern:
 
         ra = assignment[graph.edges[:, 0]]
         rb = assignment[graph.edges[:, 1]]
-        cross = ra != rb
+        same_rank = ra == rb
+        same = np.flatnonzero(same_rank)
         intra_volume = np.bincount(
-            ra[~cross], weights=w[~cross], minlength=n_ranks
+            ra[same], weights=w[same], minlength=n_ranks
         ).astype(np.float64)
 
         # Each cross-rank block pair exchanges one message each way, so
         # the directed message set is symmetric: per-rank in and out
         # counts are the endpoint counts of the cross edges, and
-        # out_remote equals in_remote.
-        ca, cb, size = ra[cross], rb[cross], w[cross]
-        local = (ca // cluster.ranks_per_node) == (cb // cluster.ranks_per_node)
-        in_local = np.bincount(
-            np.concatenate([ca[local], cb[local]]), minlength=n_ranks
+        # out_remote equals in_remote.  (Index arrays, not boolean
+        # masks, select: a gather is several times cheaper here.)
+        node = np.arange(n_ranks) // cluster.ranks_per_node
+        cross = np.flatnonzero(~same_rank)
+        ca, cb = ra[cross], rb[cross]
+        local = node[ca] == node[cb]
+        in_local = (
+            np.bincount(ca, weights=local, minlength=n_ranks)
+            + np.bincount(cb, weights=local, minlength=n_ranks)
         ).astype(np.float64)
-        in_remote = np.bincount(
-            np.concatenate([ca[~local], cb[~local]]), minlength=n_ranks
-        ).astype(np.float64)
+        in_remote = (
+            np.bincount(ca, minlength=n_ranks) + np.bincount(cb, minlength=n_ranks)
+        ) - in_local
         out_remote = in_remote.copy()
 
-        # Collapse to unique rank pairs, keeping the largest message per
-        # pair for the critical transport latency: one sort of the
-        # undirected pair keys, then both directions of each pair in
-        # (src, dst) order.
-        n = np.int64(n_ranks)
-        ukey = np.minimum(ca, cb) * n + np.maximum(ca, cb)
-        order = np.argsort(ukey)
-        ukey, size = ukey[order], size[order]
-        first = np.ones(ukey.shape[0], dtype=bool)
-        first[1:] = ukey[1:] != ukey[:-1]
-        start = np.flatnonzero(first)
-        ukey = ukey[start]
-        umax = np.maximum.reduceat(size, start)
-        key = np.concatenate([ukey, (ukey % n) * n + ukey // n])
-        order = np.argsort(key)
-        key = key[order]
-        max_size = np.concatenate([umax, umax])[order]
-        p_src = key // n
-        p_dst = key % n
-        p_local = (p_src // cluster.ranks_per_node) == (p_dst // cluster.ranks_per_node)
+        # Collapse to directed rank pairs, keeping the largest message
+        # per pair for the critical transport latency, with one sort of
+        # ``(src, dst, weight rank)`` keys: both directions of every
+        # cross edge, the message size as its rank among the weight
+        # table's distinct values.  The last key of each pair's run
+        # carries the pair's largest message.
+        sizes, kind_rank = np.unique(kind_weight_table(weights), return_inverse=True)
+        size_bits = (sizes.shape[0] - 1).bit_length()
+        rank_bits = (n_ranks - 1).bit_length()
+        size_rank = kind_rank[graph.kinds[cross]]
+        key = np.sort(np.concatenate([
+            (((ca << rank_bits) | cb) << size_bits) | size_rank,
+            (((cb << rank_bits) | ca) << size_bits) | size_rank,
+        ]))
+        pair = key >> size_bits
+        last = np.ones(key.shape[0], dtype=bool)
+        last[:-1] = pair[1:] != pair[:-1]
+        key = key[np.flatnonzero(last)]
+        pair = key >> size_bits
+        max_size = sizes[key & ((1 << size_bits) - 1)]
+        p_src = pair >> rank_bits
+        p_dst = pair & ((1 << rank_bits) - 1)
+        p_local = node[p_src] == node[p_dst]
         if cluster.node_nic_gbps is not None:
             # Mixed NIC tiers: a cross-node pair's payload bandwidth is
             # governed by the slower endpoint's NIC.
@@ -179,10 +188,8 @@ class ExchangePattern:
             fabric.remote_latency_s + max_size / remote_bw,
         )
         if fabric.cross_switch_extra_s > 0:
-            cross = np.asarray(cluster.switch_of(p_src)) != np.asarray(
-                cluster.switch_of(p_dst)
-            )
-            lat = lat + cross * fabric.cross_switch_extra_s
+            switch = np.asarray(cluster.switch_of(np.arange(n_ranks)))
+            lat = lat + (switch[p_src] != switch[p_dst]) * fabric.cross_switch_extra_s
         return cls(
             n_ranks=n_ranks,
             pair_src=p_src,

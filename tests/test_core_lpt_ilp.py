@@ -1,6 +1,7 @@
 """Tests for LPT and the exact branch-and-bound reference solver."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.core import (
     makespan_lower_bound,
     solve_makespan_bnb,
 )
+from repro.core import lpt
 from repro.core.cplx import repool
 
 small_instances = st.tuples(
@@ -82,6 +84,71 @@ class TestLPT:
         untouched = np.setdiff1d(np.arange(10), block_ids)
         assert np.array_equal(out[untouched], assignment[untouched])
         assert set(out[block_ids]) <= {0, 4}
+
+
+def naive_lpt(costs: np.ndarray, r: int, initial_loads=None) -> np.ndarray:
+    """O(n·r) LPT oracle: each block, in stable descending-cost order,
+    goes to ``min((load, rank))`` (``argmin`` takes the first, lowest
+    rank among equal loads)."""
+    loads = np.zeros(r) if initial_loads is None else np.array(initial_loads, dtype=float)
+    assignment = np.zeros(len(costs), dtype=np.int64)
+    for b in sorted(range(len(costs)), key=lambda i: -float(costs[i])):
+        k = int(np.argmin(loads))
+        assignment[b] = k
+        loads[k] += costs[b]
+    return assignment
+
+
+@st.composite
+def lpt_instances(draw):
+    """(costs, r, initial_loads) on both sides of the round threshold,
+    shaped to tie: small integer costs, zero-cost and geometric tails,
+    all costs equal, and tied initial loads."""
+    r = draw(st.integers(1, 300))
+    n = draw(st.integers(0, 3 * r))
+    shape = draw(st.sampled_from(["ints", "zero-tail", "geometric-tail", "equal", "floats"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head = n - draw(st.integers(0, n))
+    if shape == "ints":
+        costs = rng.integers(0, draw(st.integers(1, 6)), n).astype(float)
+    elif shape == "zero-tail":
+        costs = np.concatenate([rng.exponential(1.0, head), np.zeros(n - head)])
+    elif shape == "geometric-tail":
+        costs = np.concatenate([rng.exponential(1.0, head), 0.9 ** np.arange(n - head)])
+    elif shape == "equal":
+        costs = np.full(n, 0.75)
+    else:
+        costs = rng.exponential(1.0, n)
+    loads = draw(st.sampled_from([None, "ties", "equal", "floats"]))
+    if loads == "ties":
+        loads = rng.integers(0, 3, r).astype(float)
+    elif loads == "equal":
+        loads = np.full(r, 2.0)
+    elif loads == "floats":
+        loads = rng.random(r) * 2.0
+    return costs, r, loads
+
+
+class TestLPTOracle:
+    """Round-batched :func:`lpt_assign` equals the one-block-at-a-time
+    greedy, with its own thresholds and with rounds forced on every
+    input (``_ROUND_MIN = 1``, tie-fixed sorts at every length)."""
+
+    @given(lpt_instances())
+    @settings(max_examples=40)
+    def test_matches_naive_greedy(self, inst):
+        costs, r, loads = inst
+        np.testing.assert_array_equal(
+            lpt_assign(costs, r, initial_loads=loads), naive_lpt(costs, r, loads)
+        )
+
+    @given(lpt_instances())
+    @settings(max_examples=40)
+    def test_forced_rounds_match_naive_greedy(self, inst):
+        costs, r, loads = inst
+        with mock.patch.object(lpt, "_ROUND_MIN", 1), mock.patch.object(lpt, "_SORT_MIN", 0):
+            got = lpt_assign(costs, r, initial_loads=loads)
+        np.testing.assert_array_equal(got, naive_lpt(costs, r, loads))
 
 
 class TestBnB:
