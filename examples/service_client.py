@@ -8,7 +8,7 @@ service's worked example and plays one full multi-tenant session:
    and run concurrently under the per-tenant quota;
 2. the supervised executor's progress events stream back over the
    socket as each cell completes;
-3. a plan-engine SQL query runs against one job's telemetry spool —
+3. a plan-engine SQL query runs over one job's executor events —
    the same query that works *while* the job is still running;
 4. a third job is cancelled mid-run, leaving a resumable journal, and
    a ``resume_of`` submit completes it to the same digest an
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         for event in client.stream_events(bob, poll_s=0.1):
             print(f"  [{bob}] cell {event['cell']} {event['kind']}")
 
-        # -- 3. SQL over the job's telemetry spool --------------------- #
+        # -- 3. SQL over the job's executor events --------------------- #
         reply = client.query(
             bob, "SELECT kind, count(cell) FROM events GROUP BY kind"
         )

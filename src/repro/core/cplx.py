@@ -28,7 +28,7 @@ import numpy as np
 from .baseline import assignment_from_counts
 from .chunked import chunked_cdp_counts
 from .context import PlacementContext
-from .lpt import lpt_assign
+from .lpt import _stable_argsort, lpt_assign
 from .policy import PlacementPolicy, register_policy
 
 __all__ = ["CPLX", "rebalance_count", "repool", "select_rebalance_ranks"]
@@ -65,7 +65,7 @@ def select_rebalance_ranks(
     if k == 0:
         return np.empty(0, dtype=np.int64)
     # Stable argsort on (-load) => descending load, rank-ID tiebreak.
-    order = np.argsort(-loads, kind="stable")
+    order = _stable_argsort(-loads)
     n_top = -(-k // 2)  # ceil
     n_bot = k // 2
     top = order[:n_top]

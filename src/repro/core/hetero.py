@@ -32,7 +32,7 @@ import numpy as np
 from .baseline import contiguous_counts
 from .context import PlacementContext
 from .cplx import CPLX
-from .lpt import LPTPolicy
+from .lpt import LPTPolicy, _stable_argsort
 from .policy import PlacementPolicy, register_policy
 
 __all__ = [
@@ -82,7 +82,7 @@ def hetero_lpt_assign(
         heap = [(load_of[r], r) for r in np.nonzero(speeds == s)[0].tolist()]
         heapq.heapify(heap)
         heaps.append((s, heap))
-    order = np.argsort(-costs, kind="stable")
+    order = _stable_argsort(-costs)
     cost = costs.tolist()
     assignment = [0] * n
     for bid in order.tolist():

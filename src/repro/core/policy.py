@@ -207,8 +207,11 @@ def _construct_policy(name, ctor, kwargs, reserved=()):
 
     ``reserved`` names are supplied by the shorthand itself (e.g. the
     ``:X`` suffix of ``cplx:X`` fixes ``x_percent``) and therefore count
-    as unexpected when passed explicitly too.
+    as unexpected when passed explicitly too.  With no kwargs nothing
+    can be unexpected, so the constructor's signature is not inspected.
     """
+    if not kwargs:
+        return ctor()
     accepted: tuple = ()
     try:
         sig = inspect.signature(ctor)

@@ -29,8 +29,8 @@ host process* computes a result and *when*, never the result.
 
 Executor events (retries, crashes, timeouts, quarantines, resume hits)
 are kept as structured records, surfaced as counters, and — when a
-journal is configured — appended to an on-disk telemetry dataset
-queryable through the PR 5 plan engine.
+journal is configured — appended to an on-disk telemetry dataset,
+one partition per run segment, queryable through the PR 5 plan engine.
 
 Fault-injection harness: the ``REPRO_CHAOS`` environment variable marks
 designated cells to ``crash`` (hard ``os._exit``), ``hang`` (sleep
@@ -87,6 +87,12 @@ EVENT_CODES: Dict[str, int] = {
 }
 
 
+#: supervisor wake-up period for liveness, cancel and deadline checks
+POLL_INTERVAL_S = 0.05
+#: cap on the exponential retry backoff
+BACKOFF_MAX_S = 2.0
+
+
 @dataclasses.dataclass(frozen=True)
 class SupervisorConfig:
     """Fault-handling knobs for one supervised sweep."""
@@ -96,9 +102,9 @@ class SupervisorConfig:
     #: per-cell wall-clock timeout (None = never time out).  Enforced by
     #: killing the worker, so it holds even for cells stuck in C code.
     timeout_s: Optional[float] = None
-    #: exponential backoff before attempt k+1: ``base * 2**(k-1)``, capped
+    #: exponential backoff before attempt k+1: ``base * 2**(k-1)``,
+    #: capped at :data:`BACKOFF_MAX_S`
     backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
     #: journal root directory (None = no journal, no resume)
     journal_dir: Optional[str] = None
     #: replay completed cells from the journal instead of re-running them
@@ -106,8 +112,6 @@ class SupervisorConfig:
     #: raise :class:`CellExecutionError` on the first exhausted cell
     #: instead of quarantining it (see :data:`STRICT`)
     strict: bool = False
-    #: supervisor wake-up period for liveness/deadline checks
-    poll_interval_s: float = 0.05
     #: cooperative-cancel flag file (see :mod:`repro.perf.cancel`); the
     #: supervisor polls it every wake-up and the engine's
     #: CancellationHook polls the same file inside worker processes
@@ -121,10 +125,6 @@ class SupervisorConfig:
     #: sweep with :class:`~repro.perf.cancel.DeadlineExceeded` — same
     #: drain + resumable-journal semantics as a cancel
     deadline_ts: Optional[float] = None
-    #: spool executor events to the journal's telemetry dataset as they
-    #: happen (one partition per flush) instead of once per run segment —
-    #: the service mode, where a job's spool is live-queried mid-run
-    live_events: bool = False
     #: engine runs inside this sweep's cells look exchange patterns up in
     #: the process-wide :class:`~repro.perf.cache.SharedPatternCache`
     #: (the service mode, where concurrent jobs pool one store)
@@ -189,17 +189,17 @@ class ExecutorEvent:
         return EVENT_CODES[self.kind]
 
 
-def events_table(events: Sequence[ExecutorEvent], start: int = 0):
+def events_table(events: Sequence[ExecutorEvent]):
     """Executor events as a five-column
     :class:`~repro.telemetry.columnar.ColumnTable`; ``event`` ids count
-    from ``start`` (the global id of ``events[0]``)."""
+    from 0 in recording order."""
     import numpy as np
 
     from ..telemetry.columnar import ColumnTable
 
     return ColumnTable(
         {
-            "event": np.arange(start, start + len(events), dtype=np.int64),
+            "event": np.arange(len(events), dtype=np.int64),
             "cell": np.asarray([e.cell for e in events], dtype=np.int64),
             "kind": np.asarray([e.code for e in events], dtype=np.int64),
             "attempt": np.asarray([e.attempt for e in events], dtype=np.int64),
@@ -444,7 +444,6 @@ class _Supervision:
         self.events: List[ExecutorEvent] = []
         self.cancelled = False
         self.deadline_hit = False      #: the cancel was the deadline clock
-        self._flushed = 0              #: events already spooled to telemetry
         self.n_retries = 0
         self.n_crashes = 0
         self.n_timeouts = 0
@@ -478,11 +477,6 @@ class _Supervision:
         self.event(index, "complete", self.attempts[index])
         if self.journal is not None:
             self.journal.record(index, result)
-            # Live spool: in service mode events become queryable (plan
-            # engine over <journal>/telemetry) while the sweep is still
-            # running, not only at the end.
-            if self.config.live_events:
-                self.flush_telemetry()
 
     def cancel(self, cell: int, detail: str = "",
                deadline: bool = False) -> None:
@@ -513,7 +507,7 @@ class _Supervision:
     def backoff_s(self, attempt: int) -> float:
         return min(
             self.config.backoff_base_s * (2 ** max(attempt - 1, 0)),
-            self.config.backoff_max_s,
+            BACKOFF_MAX_S,
         )
 
     def fail_attempt(self, index: int, kind: str, detail: str) -> Optional[float]:
@@ -540,8 +534,6 @@ class _Supervision:
         if self.config.strict:
             raise CellExecutionError(index, self.cells[index], detail)
         self.results[index] = failure
-        if self.config.live_events:
-            self.flush_telemetry()
         return None
 
     def report(self) -> SupervisedReport:
@@ -570,14 +562,13 @@ class _Supervision:
         )
 
     def flush_telemetry(self) -> None:
-        """Spool events recorded since the last flush (no-op journalless)."""
-        if self.journal is not None and self._flushed < len(self.events):
-            batch = self.events[self._flushed:]
+        """Spool this run segment's events as one telemetry partition
+        (no-op journalless).  Called once, when the segment ends."""
+        if self.journal is not None and self.events:
             try:
-                self.journal.append_events(events_table(batch, start=self._flushed))
+                self.journal.append_events(events_table(self.events))
             except OSError:
-                return             # telemetry must never fail the sweep
-            self._flushed += len(batch)
+                pass               # telemetry must never fail the sweep
 
 
 def _run_serial(fn, sup: _Supervision) -> None:
@@ -709,7 +700,7 @@ def _run_pool(fn, sup: _Supervision, n_jobs: int) -> None:
             # *now* don't shorten the wait: they are only waiting for a
             # worker, and a worker only frees up via a pipe we are
             # already waiting on (a dead worker's EOF wakes us too).
-            wait = cfg.poll_interval_s
+            wait = POLL_INTERVAL_S
             if pending and pending[0][0] > now:
                 wait = min(wait, pending[0][0] - now)
             busy = [w for w in workers if w.busy]

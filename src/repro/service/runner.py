@@ -7,8 +7,8 @@ The runner is the single execution path behind both front ends:
   ``result.text`` (byte-identical to the pre-service subcommands);
 * the server hands it a spec built from a JSON ``submit`` request,
   whose supervisor config carries the job's cancel flag, deadline,
-  per-job journal, live event spooling and the shared pattern store
-  (the supervisor hands those controls to every cell it runs).
+  per-job journal and the shared pattern store (the supervisor hands
+  those controls to every cell it runs).
 
 A cancelled job is not an error here: :class:`~repro.perf.cancel.
 JobCancelled` is converted into a ``cancelled=True`` result carrying

@@ -14,9 +14,8 @@ Verbs (see ``docs/service.md`` for the full protocol):
 * ``status``  — one job's state + progress, or a tenant's aggregate
   (active/queued counts, pooled cache hit counters).
 * ``events``  — incremental executor-event stream (``since`` cursor).
-* ``query``   — run plan-engine SQL against a *running* job's spooled
-  telemetry partitions (live snapshot semantics: committed partitions
-  only, torn files skipped).
+* ``query``   — run plan-engine SQL over a job's executor events, the
+  same events ``events`` streams, running or finished.
 * ``cancel``  — cooperative cancellation: queued jobs are withdrawn;
   running jobs get their cancel flag set and stop at the next epoch
   boundary, leaving a resumable journal.
@@ -40,9 +39,11 @@ response with a ``retry_after_s`` hint.
 
 Execution: jobs run in a thread pool (each job may itself fan out a
 supervised *process* pool per its ``jobs`` parameter); every job gets a
-private journal under the service root, a cancel flag file, live event
-spooling, and the process-wide shared pattern cache.  Tenants share
-the on-disk trajectory cache, LRU-pruned after every job.
+private journal under the service root, a cancel flag file, and the
+process-wide shared pattern cache.  The server holds each job's
+executor events in memory; the journal spools them to disk once per
+run segment.  Tenants share the on-disk trajectory cache, LRU-pruned
+after every job.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..perf.supervisor import SupervisorConfig
+from ..perf.supervisor import ExecutorEvent, SupervisorConfig, events_table
 from .queue import AdmissionQueue, QueuedJob, QuotaConfig, QuotaExceeded
 from .recovery import recover_jobs
 from .runner import JobResult, JobRunner
@@ -126,7 +127,10 @@ class _Job:
     #: set while a drain shutdown is checkpointing this job (its cancel
     #: is a *suspension*: the store keeps it queued for the next boot)
     draining: bool = False
-    events: List[Dict] = dataclasses.field(default_factory=list)
+    events: List[ExecutorEvent] = dataclasses.field(default_factory=list)
+    #: a restart brought this job back as finished: its events are not
+    #: in memory, only in its journal's telemetry dataset
+    events_on_disk: bool = False
     result: Optional[JobResult] = None
     error: Optional[str] = None
     done: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
@@ -138,7 +142,7 @@ class _Job:
     @property
     def completed_cells(self) -> int:
         return sum(
-            1 for e in self.events if e["kind"] in ("complete", "resume_hit")
+            1 for e in self.events if e.kind in ("complete", "resume_hit")
         )
 
     def status(self) -> Dict:
@@ -250,6 +254,7 @@ class JobService:
             job = self._job_from_record(rec)
             job.state = rec.state
             job.error = rec.error
+            job.events_on_disk = True
             if rec.state != "shed":
                 # Digest/exit survive a restart; the rendered text does
                 # not — the result verb says so instead of guessing.
@@ -312,13 +317,12 @@ class JobService:
     def _new_job(self, spec: JobSpec, job_id: str, journal_dir: str,
                  resume: bool, **fields) -> _Job:
         """A live job for ``spec``, fresh or recovered alike: it runs
-        under its own journal, live event spooling, its cancel flag and
-        the shared pattern store, which the supervisor hands to every
-        cell.  ``fields`` are the remaining :class:`_Job` fields."""
+        under its own journal, its cancel flag and the shared pattern
+        store, which the supervisor hands to every cell.  ``fields`` are
+        the remaining :class:`_Job` fields."""
         supervise = SupervisorConfig(
             journal_dir=journal_dir,
             resume=resume,
-            live_events=True,
             cancel_grace_s=self.config.cancel_grace_s,
             cancel_path=str(
                 Path(self.config.journal_root) / f"{job_id}.cancel"
@@ -666,7 +670,7 @@ class JobService:
         events = job.events[since:]
         return {
             "ok": True,
-            "events": events,
+            "events": [dataclasses.asdict(e) for e in events],
             "next": since + len(events),
             "state": job.state,
         }
@@ -708,29 +712,24 @@ class JobService:
         return out
 
     async def _op_query(self, request: Dict) -> Dict:
-        """Plan-engine SQL over a job's (possibly still-spooling)
-        executor-event telemetry — live snapshot semantics."""
+        """Plan-engine SQL over a job's executor events: the events the
+        server holds, or, for a job a restart brought back as finished,
+        its journal's events dataset."""
+        from ..telemetry.query import sql_query
+
         job = self._job(request)
         statement = request.get("sql")
         if not statement:
             raise ValueError("query needs a 'sql' statement")
-
-        def run_query():
+        source = events_table(job.events)
+        if job.events_on_disk:
+            # One small partition per run segment: read inline.
             from ..telemetry.dataset import TelemetryDataset
-            from ..telemetry.query import sql_query
 
-            spools = sorted(
-                Path(job.journal_dir).glob("sweep-*/telemetry")
-            )
-            if not spools:
-                return None
-            ds = TelemetryDataset.open(spools[0], live=True)
-            return sql_query(ds, statement).run()
-
-        table = await self._loop.run_in_executor(self._pool, run_query)
-        if table is None:
-            return {"ok": True, "columns": {}, "n_rows": 0,
-                    "state": job.state, "note": "no telemetry spooled yet"}
+            spools = sorted(Path(job.journal_dir).glob("sweep-*/telemetry"))
+            if spools:
+                source = TelemetryDataset.open(spools[0])
+        table = sql_query(source, statement).run()
         return {
             "ok": True,
             "columns": {n: table[n].tolist() for n in table.names},
@@ -776,12 +775,8 @@ class JobService:
                 spec.supervise, deadline_ts=deadline_ts,
             ))
 
-        def on_event(ev) -> None:
-            record = {
-                "t_s": ev.t_s, "cell": ev.cell, "kind": ev.kind,
-                "attempt": ev.attempt, "detail": ev.detail,
-            }
-            self._loop.call_soon_threadsafe(job.events.append, record)
+        def on_event(ev: ExecutorEvent) -> None:
+            self._loop.call_soon_threadsafe(job.events.append, ev)
 
         return JobRunner().run(spec, on_event=on_event)
 

@@ -103,13 +103,9 @@ class TelemetryDataset:
     column-selective reads.
     """
 
-    def __init__(self, root: Path, manifest: dict, live: bool = False) -> None:
+    def __init__(self, root: Path, manifest: dict) -> None:
         self.root = root
         self._manifest = manifest
-        #: opened for reading *while a writer is still appending*: the
-        #: listing skips staging files and the scan tolerates partitions
-        #: that vanish or arrive between the manifest read and the scan
-        self.live = live
 
     # ------------------------------------------------------------------ #
 
@@ -122,58 +118,22 @@ class TelemetryDataset:
         return cls(root, manifest)
 
     @classmethod
-    def open(cls, root: str | Path, live: bool = False) -> "TelemetryDataset":
-        """Open an existing dataset.
-
-        With ``live=True`` the dataset may still be mid-write by another
-        process (a running job's event spool): a missing manifest reads
-        as an empty dataset rather than an error, committed partitions
-        not yet published in the manifest are picked up from disk, and
-        ``.tmp`` staging files are never listed.  Partition *files* are
-        committed atomically (write-temp + rename), so everything a live
-        listing returns is complete and internally consistent.
-        """
+    def open(cls, root: str | Path) -> "TelemetryDataset":
+        """Open an existing dataset."""
         root = Path(root)
         manifest_path = root / _MANIFEST
         if not manifest_path.exists():
-            if live:
-                return cls(root, {"partitions": []}, live=True)
             raise FileNotFoundError(f"no telemetry dataset at {root}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            if live:
-                # Torn/unreadable manifest mid-replace: fall back to the
-                # committed partition files on disk.
-                return cls(root, {"partitions": []}, live=True)
-            raise
-        return cls(root, manifest, live=live)
+        return cls(root, json.loads(manifest_path.read_text()))
 
     # ------------------------------------------------------------------ #
 
     @property
     def n_partitions(self) -> int:
-        if self.live:
-            return len(self.partition_files())
         return len(self._manifest["partitions"])
 
     def partition_files(self) -> List[Path]:
-        """Partition paths in append order (the scan protocol).
-
-        Live datasets list committed ``part-*.rprc`` files straight from
-        the directory — in name order, which is append order — so a
-        partition renamed into place after the manifest was read is
-        visible, and staging ``.tmp`` files never are.
-        """
-        if self.live:
-            listed = {p["file"] for p in self._manifest["partitions"]}
-            files = {
-                p.name
-                for p in self.root.glob("part-*.rprc")
-                if not p.name.endswith(".tmp")
-            }
-            return [self.root / name for name in sorted(listed | files)
-                    if (self.root / name).exists()]
+        """Partition paths in append order (the scan protocol)."""
         return [self.root / p["file"] for p in self._manifest["partitions"]]
 
     def schema(self) -> Dict[str, np.dtype]:
@@ -182,15 +142,6 @@ class TelemetryDataset:
         Empty datasets have an empty schema.  Header-only: no payload
         is read.
         """
-        if self.live:
-            from .columnar import CorruptTelemetryError
-
-            for path in self.partition_files():
-                try:
-                    return read_schema(path)
-                except (OSError, CorruptTelemetryError):
-                    continue
-            return {}
         parts = self._manifest["partitions"]
         if not parts:
             return {}

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .columnar import ColumnTable, CorruptTelemetryError, read_stats, read_table
+from .columnar import ColumnTable, read_stats, read_table
 from .plan import (
     Filter,
     GroupAgg,
@@ -224,24 +224,14 @@ def _exec_scan(scan: Scan, report: Optional[ExecutionReport]) -> ColumnTable:
         source=str(getattr(source, "root", source)),
         columns_read=None if read_cols is None else list(read_cols),
     )
-    live = bool(getattr(source, "live", False))
     pieces: List[ColumnTable] = []
     for path in source.partition_files():
         sr.partitions_total += 1
-        try:
-            stats = read_stats(path)
-            if not all(p.might_match(stats) for p in scan.predicates):
-                sr.partitions_pruned.append(path.name)
-                continue
-            t = read_table(path, columns=read_cols)
-        except (OSError, CorruptTelemetryError):
-            # Live scan of a dataset still being written: a partition
-            # that vanished or is torn mid-commit is simply not part of
-            # this snapshot.  Non-live scans keep the hard error.
-            if live:
-                sr.partitions_pruned.append(path.name)
-                continue
-            raise
+        stats = read_stats(path)
+        if not all(p.might_match(stats) for p in scan.predicates):
+            sr.partitions_pruned.append(path.name)
+            continue
+        t = read_table(path, columns=read_cols)
         sr.partitions_scanned.append(path.name)
         sr.rows_scanned += t.n_rows
         if scan.predicates:
@@ -317,13 +307,7 @@ def _render(node: PlanNode, depth: int, lines: List[str]) -> None:
             source = node.source
             scanned, pruned = [], []
             for path in source.partition_files():
-                try:
-                    stats = read_stats(path)
-                except (OSError, CorruptTelemetryError):
-                    if getattr(source, "live", False):
-                        pruned.append(path.name)
-                        continue
-                    raise
+                stats = read_stats(path)
                 if all(p.might_match(stats) for p in node.predicates):
                     scanned.append(path.name)
                 else:

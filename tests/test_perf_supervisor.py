@@ -100,7 +100,6 @@ class TestChaosRecovery:
             _square, list(range(4)), jobs=jobs,
             config=SupervisorConfig(
                 retries=1, timeout_s=0.4, backoff_base_s=0.01,
-                poll_interval_s=0.02,
             ),
         )
         assert report.results == [x * x for x in range(4)]
@@ -141,7 +140,6 @@ class TestQuarantine:
             _square, list(range(3)), jobs=2,
             config=SupervisorConfig(
                 retries=1, timeout_s=0.3, backoff_base_s=0.01,
-                poll_interval_s=0.02,
             ),
         )
         failure = report.results[0]
@@ -408,25 +406,40 @@ class TestTelemetryEvents:
         assert by_kind[EVENT_CODES["error"]] == 1
         assert by_kind[EVENT_CODES["retry"]] == 1
 
-    @pytest.mark.parametrize("live", [False, True])
-    def test_spooled_events_equal_events_table(self, tmp_path, monkeypatch, live):
-        """The journal spool and the in-memory report build one table:
-        same columns, dtypes and ids, also across live partitions."""
+    def test_spooled_events_equal_events_table(self, tmp_path, monkeypatch):
+        """Under the service's supervisor config a journaled sweep spools
+        one events partition per run segment, and each partition is the
+        segment's in-memory report table: same columns, dtypes and ids."""
+        import dataclasses
+
+        from repro.service import spec_from_params
+        from repro.service.server import JobService, ServiceConfig
+        from repro.telemetry.columnar import read_table
         from repro.telemetry.dataset import TelemetryDataset
 
-        monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
-        report = supervised_map(
-            _square, list(range(4)), jobs=2,
-            config=SupervisorConfig(
-                retries=1, journal_dir=str(tmp_path), backoff_base_s=0.01,
-                live_events=live,
-            ),
+        service = JobService(ServiceConfig(journal_root=str(tmp_path)))
+        job = service._new_job(
+            spec_from_params("sedov", {}), "job-0001",
+            str(tmp_path / "job-0001"), resume=False,
+            seq=1, params={}, spec_hash="",
         )
-        assert report.counters["n_retries"] == 1
-        ds = TelemetryDataset.open(Path(report.journal_path) / "telemetry")
-        if live:
-            assert ds.n_partitions > 1
-        assert ds.read() == report.events_table()
+        config = dataclasses.replace(
+            job.spec.supervise, retries=1, backoff_base_s=0.01
+        )
+        monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
+        first = supervised_map(_square, list(range(4)), jobs=2, config=config)
+        assert first.counters["n_retries"] == 1
+        monkeypatch.delenv(CHAOS_ENV)
+        second = supervised_map(
+            _square, list(range(4)), jobs=2,
+            config=dataclasses.replace(config, resume=True),
+        )
+        assert second.counters["n_resume_hits"] == 4
+        ds = TelemetryDataset.open(Path(first.journal_path) / "telemetry")
+        parts = ds.partition_files()
+        assert len(parts) == 2
+        assert read_table(parts[0]) == first.events_table()
+        assert read_table(parts[1]) == second.events_table()
 
     def test_events_table_in_memory(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)

@@ -1,8 +1,8 @@
 """The multi-tenant job service, end to end over its real socket.
 
 Acceptance pins from the service PR: two tenants run concurrently
-under quota enforcement, priorities order the queue, live SQL works
-against a running job's spool, cancellation leaves a resumable journal
+under quota enforcement, priorities order the queue, SQL works
+against a running job's events, cancellation leaves a resumable journal
 whose ``resume_of`` completion is bit-identical, and admission control
 rejects over-quota submits with an error (not a hang).
 """
@@ -10,9 +10,11 @@ rejects over-quota submits with an error (not a hang).
 import asyncio
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+from repro.perf.supervisor import CHAOS_ENV, EVENT_CODES
 from repro.service import JobRunner, spec_from_params
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import (
@@ -335,3 +337,23 @@ class TestServiceEndToEnd:
             kinds = [e["kind"] for e in c.stream_events(job, poll_s=0.1)]
             assert kinds.count("complete") == 2
             assert c.status(job)["state"] == "done"
+
+    def test_query_and_events_read_one_source(self, live_service, monkeypatch):
+        """Per-kind counts from SQL equal those of the streamed records,
+        on a job whose first cell fails once and is retried."""
+        monkeypatch.setenv(CHAOS_ENV, "flaky:0@1")
+        svc = live_service()
+        with svc.client() as c:
+            job = c.submit("sedov", TINY, tenant="alice")
+            assert c.result(job, timeout_s=300)["state"] == "done"
+            records = c.events(job)["events"]
+            reply = c.query(
+                job, "SELECT kind, count(cell) FROM events GROUP BY kind"
+            )
+        from_query = dict(
+            zip(reply["columns"]["kind"], reply["columns"]["count_cell"])
+        )
+        from_events = Counter(EVENT_CODES[e["kind"]] for e in records)
+        assert from_query == dict(from_events)
+        assert from_events[EVENT_CODES["retry"]] == 1
+        assert from_events[EVENT_CODES["complete"]] == 2

@@ -199,7 +199,7 @@ class TestSupervisorCancellation:
         items, flag = self._items(tmp_path, n=8)
         config = SupervisorConfig(
             journal_dir=str(tmp_path / "j"), cancel_path=flag,
-            poll_interval_s=0.02, cancel_grace_s=5.0,
+            cancel_grace_s=5.0,
         )
         with pytest.raises(JobCancelled) as exc:
             supervised_map(_slow_cancel_cell, items, jobs=2, config=config)

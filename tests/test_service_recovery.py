@@ -280,6 +280,29 @@ class TestRestartRecovery:
                 assert (c.result(job_id, timeout_s=10)["result"]["digest"]
                         == serial_tiny.digest), job_id
 
+    def test_finished_job_query_survives_restart(
+        self, tmp_path, live_service
+    ):
+        """A finished job's query answers the same rows before a
+        ``--state`` restart and after it, when the job's events are
+        read back from its journal."""
+        state = tmp_path / "state"
+        sql = "SELECT * FROM events"
+        svc1 = live_service(state_dir=str(state))
+        with svc1.client() as c:
+            job = c.submit("sedov", TINY, tenant="alice")
+            assert c.result(job, timeout_s=300)["state"] == "done"
+            before = c.query(job, sql)
+        svc1.stop()
+
+        svc2 = live_service(state_dir=str(state))
+        with svc2.client() as c:
+            assert c.status(job)["state"] == "done"
+            after = c.query(job, sql)
+        assert before["n_rows"] == 2
+        assert after["n_rows"] == before["n_rows"]
+        assert after["columns"] == before["columns"]
+
     def test_recovered_job_cancels_mid_run_and_resumes(
         self, tmp_path, live_service
     ):

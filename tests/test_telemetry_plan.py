@@ -458,6 +458,30 @@ def test_spooled_run_is_queryable_from_disk(tmp_path):
     assert len(rep.scans[0].partitions_pruned) == 2
 
 
+def test_unreadable_dataset_raises(tmp_path):
+    """Opening and scanning are strict: a missing or torn manifest and
+    a truncated partition are errors, not a silently smaller answer."""
+    import json
+
+    from repro.telemetry.columnar import CorruptTelemetryError
+
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(FileNotFoundError):
+        TelemetryDataset.open(tmp_path / "empty")
+    ds = TelemetryDataset.create(tmp_path / "ds")
+    ds.append(ColumnTable({"step": np.arange(20)}))
+    bad = tmp_path / "ds" / "part-00000.rprc"
+    bad.write_bytes(bad.read_bytes()[:10])
+    with pytest.raises(CorruptTelemetryError):
+        sql_query(
+            TelemetryDataset.open(tmp_path / "ds"),
+            "SELECT count(step) FROM ds",
+        ).run()
+    (tmp_path / "ds" / "manifest.json").write_text('{"partitions": [{"fi')
+    with pytest.raises(json.JSONDecodeError):
+        TelemetryDataset.open(tmp_path / "ds")
+
+
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
