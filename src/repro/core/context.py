@@ -102,15 +102,6 @@ class PlacementContext:
         """True when every rank has the same compute throughput."""
         return float(self.rank_speed.min()) == float(self.rank_speed.max())
 
-    @property
-    def uniform_nic(self) -> bool:
-        return float(self.rank_nic_gbps.min()) == float(self.rank_nic_gbps.max())
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when the cluster is effectively homogeneous."""
-        return self.uniform_speed and self.uniform_nic
-
     def total_capacity(self) -> float:
         """Sum of per-rank throughputs — the hetero area-bound divisor
         (``Q || C_max`` analogue of ``n_ranks``)."""

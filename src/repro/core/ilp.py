@@ -2,10 +2,11 @@
 
 The paper validated LPT against a commercial ILP solver, which could not
 improve on it within 200 s.  No solver is available here, so we provide
-an exact branch-and-bound for ``P || C_max`` (identical parallel
-machines, minimize makespan), usable on small instances, plus standard
-lower bounds.  Benchmarks use it to reproduce the "LPT is near-optimal"
-observation.
+an exact branch-and-bound for ``Q || C_max`` (uniform machines: rank
+``r`` completes load ``L`` in ``L / speeds[r]``; minimize makespan),
+usable on small instances, plus standard lower bounds.  Identical
+machines (``P || C_max``) are the unit-speed case.  Benchmarks use it to
+reproduce the "LPT is near-optimal" observation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from .lpt import lpt_assign
+from .hetero import hetero_lpt_assign
 
 __all__ = [
     "BnBResult",
@@ -37,21 +38,32 @@ class BnBResult:
     elapsed_s: float
 
 
-def makespan_lower_bound(costs: np.ndarray, n_ranks: int) -> float:
-    """Max of the three classic ``P || C_max`` lower bounds.
+def hetero_makespan_lower_bound(costs: np.ndarray, speeds: np.ndarray) -> float:
+    """Max of three lower bounds for ``Q || C_max`` (makespan = max load/speed).
 
-    ``total/r`` (area), ``max cost`` (longest job), and the pairing bound
-    ``c[r] + c[r+1]`` (with ``r+1`` jobs at least one machine gets two of
-    the largest ``r+1``; costs sorted descending, 0-indexed).
+    The area bound ``total / sum(speeds)`` (perfect capacity-weighted
+    split), the longest-job bound ``max(cost) / max(speed)`` (the largest
+    block on the fastest rank), and the pairing bound
+    ``(c[r-1] + c[r]) / max(speed)``: with ``r+1`` jobs at least one
+    rank gets two of the largest ``r+1`` (costs sorted descending,
+    0-indexed).
     """
     costs = np.asarray(costs, dtype=np.float64)
+    speeds = np.asarray(speeds, dtype=np.float64)
     if costs.size == 0:
         return 0.0
-    lb = max(float(costs.sum()) / n_ranks, float(costs.max()))
+    fastest = float(speeds.max())
+    n_ranks = speeds.shape[0]
+    lb = max(float(costs.sum()) / float(speeds.sum()), float(costs.max()) / fastest)
     if costs.shape[0] > n_ranks:
         s = np.sort(costs)[::-1]
-        lb = max(lb, float(s[n_ranks - 1] + s[n_ranks]))
+        lb = max(lb, float(s[n_ranks - 1] + s[n_ranks]) / fastest)
     return lb
+
+
+def makespan_lower_bound(costs: np.ndarray, n_ranks: int) -> float:
+    """:func:`hetero_makespan_lower_bound` on ``n_ranks`` identical ranks."""
+    return hetero_makespan_lower_bound(costs, np.ones(n_ranks))
 
 
 def solve_makespan_bnb(
@@ -60,104 +72,13 @@ def solve_makespan_bnb(
     time_limit_s: float = 10.0,
     node_limit: int = 5_000_000,
 ) -> BnBResult:
-    """Branch-and-bound for minimum makespan on identical ranks.
+    """:func:`solve_hetero_makespan_bnb` on ``n_ranks`` identical ranks.
 
-    Jobs are assigned in descending cost order; at each node we try each
-    rank, pruning on (a) the incumbent, (b) the area bound over remaining
-    work, and (c) machine symmetry (at most one empty rank is tried per
-    level).  LPT seeds the incumbent, so the solver only ever improves
-    on it — exactly how the paper used Gurobi.
-
-    Returns a proven-optimal flag; on small instances (n <= ~24) the
-    search completes well inside the default limits.
+    On small instances (n <= ~24) the search completes well inside the
+    default limits.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    n = int(costs.shape[0])
-    t0 = time.perf_counter()
-    lb = makespan_lower_bound(costs, n_ranks)
-
-    # Incumbent from LPT.
-    lpt = lpt_assign(costs, n_ranks)
-    best_assign = lpt.copy()
-    best = float(np.bincount(lpt, weights=costs, minlength=n_ranks).max())
-    if n == 0 or best <= lb * (1 + 1e-12):
-        return BnBResult(best_assign, best, True, 0, time.perf_counter() - t0)
-
-    order = np.argsort(-costs, kind="stable")
-    sorted_costs = costs[order]
-    suffix = np.concatenate([np.cumsum(sorted_costs[::-1])[::-1], [0.0]])
-
-    loads = np.zeros(n_ranks, dtype=np.float64)
-    assign_sorted = np.full(n, -1, dtype=np.int64)
-    state = {"best": best, "best_sorted": None, "nodes": 0, "complete": True}
-
-    def dfs(depth: int) -> None:
-        if state["nodes"] >= node_limit or time.perf_counter() - t0 > time_limit_s:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
-        if depth == n:
-            m = float(loads.max())
-            if m < state["best"] - 1e-12:
-                state["best"] = m
-                state["best_sorted"] = assign_sorted.copy()
-            return
-        # Area bound: remaining work must fit under the incumbent.
-        remaining = suffix[depth]
-        if (loads.sum() + remaining) / n_ranks >= state["best"] - 1e-12 and float(
-            loads.max()
-        ) >= state["best"] - 1e-12:
-            return
-        w = float(sorted_costs[depth])
-        tried_empty = False
-        # Deterministic order: least-loaded ranks first tightens pruning.
-        for r in np.argsort(loads, kind="stable"):
-            r = int(r)
-            if loads[r] == 0.0:
-                if tried_empty:
-                    continue  # empty ranks are interchangeable
-                tried_empty = True
-            if loads[r] + w >= state["best"] - 1e-12:
-                continue
-            loads[r] += w
-            assign_sorted[depth] = r
-            dfs(depth + 1)
-            loads[r] -= w
-            assign_sorted[depth] = -1
-            if state["best"] <= lb * (1 + 1e-12):
-                return  # matched the lower bound: proven optimal
-
-    dfs(0)
-
-    if state["best_sorted"] is not None:
-        best = state["best"]
-        best_assign = np.empty(n, dtype=np.int64)
-        best_assign[order] = state["best_sorted"]
-    optimal = state["complete"] or best <= lb * (1 + 1e-12)
-    return BnBResult(
-        best_assign, float(best), bool(optimal), state["nodes"], time.perf_counter() - t0
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Uniform machines (Q || C_max): the heterogeneous-cluster reference.
-# ---------------------------------------------------------------------- #
-
-
-def hetero_makespan_lower_bound(costs: np.ndarray, speeds: np.ndarray) -> float:
-    """Lower bounds for ``Q || C_max`` (makespan = max load/speed).
-
-    The area bound ``total / sum(speeds)`` (perfect capacity-weighted
-    split) and the longest-job bound ``max(cost) / max(speed)`` (the
-    largest block on the fastest rank).
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    speeds = np.asarray(speeds, dtype=np.float64)
-    if costs.size == 0:
-        return 0.0
-    return max(
-        float(costs.sum()) / float(speeds.sum()),
-        float(costs.max()) / float(speeds.max()),
+    return solve_hetero_makespan_bnb(
+        costs, np.ones(n_ranks), time_limit_s=time_limit_s, node_limit=node_limit
     )
 
 
@@ -167,23 +88,22 @@ def solve_hetero_makespan_bnb(
     time_limit_s: float = float("inf"),
     node_limit: int = 2_000_000,
 ) -> BnBResult:
-    """Branch-and-bound for minimum makespan on *uniform* machines.
+    """Branch-and-bound for minimum makespan on uniform machines.
 
-    The ``Q || C_max`` generalization of :func:`solve_makespan_bnb`:
-    rank ``r`` completes load ``L`` in ``L / speeds[r]``.  The incumbent
-    is seeded by speed-scaled LPT
-    (:func:`repro.core.hetero.hetero_lpt_assign`), so the solver only
-    ever improves on the greedy — mirroring how the paper used Gurobi
-    against plain LPT.  Empty-rank symmetry pruning applies *within* a
-    speed class only (two idle ranks at different speeds are not
-    interchangeable).
+    Jobs are assigned in descending cost order; at each node we try each
+    rank, earliest-finishing first, pruning on (a) the incumbent, (b) the
+    capacity-area bound over remaining work and the current straggler,
+    and (c) machine symmetry (at most one idle rank per speed class is
+    tried per level: two idle ranks at different speeds are not
+    interchangeable).  Speed-scaled LPT
+    (:func:`repro.core.hetero.hetero_lpt_assign`, plain LPT at unit
+    speeds) seeds the incumbent, so the solver only ever improves on the
+    greedy — exactly how the paper used Gurobi.
 
     The default has no wall-clock cut (``node_limit`` alone bounds the
     search), keeping results deterministic for a given input — required
     for a registered policy.
     """
-    from .hetero import hetero_lpt_assign
-
     costs = np.asarray(costs, dtype=np.float64)
     speeds = np.asarray(speeds, dtype=np.float64)
     n = int(costs.shape[0])
@@ -206,54 +126,59 @@ def solve_hetero_makespan_bnb(
     total_speed = float(speeds.sum())
 
     loads = np.zeros(n_ranks, dtype=np.float64)
+    speed_of = speeds.tolist()
     assign_sorted = np.full(n, -1, dtype=np.int64)
-    state = {"best": best, "best_sorted": None, "nodes": 0, "complete": True}
+    best_sorted = None
+    nodes = 0
+    complete = True
+    # Per-node reductions call the ufuncs directly: the same arithmetic
+    # as ndarray.sum/max without their wrapper cost.
+    add, maximum = np.add.reduce, np.maximum.reduce
 
     def dfs(depth: int) -> None:
-        if state["nodes"] >= node_limit or time.perf_counter() - t0 > time_limit_s:
-            state["complete"] = False
+        nonlocal best, best_sorted, nodes, complete
+        if nodes >= node_limit or time.perf_counter() - t0 > time_limit_s:
+            complete = False
             return
-        state["nodes"] += 1
+        nodes += 1
         completion = loads / speeds
         if depth == n:
-            m = float(completion.max())
-            if m < state["best"] - 1e-12:
-                state["best"] = m
-                state["best_sorted"] = assign_sorted.copy()
+            m = float(maximum(completion))
+            if m < best - 1e-12:
+                best = m
+                best_sorted = assign_sorted.copy()
             return
         # Prune: both the capacity-area bound over remaining work and
         # the current straggler are lower bounds on the final makespan.
-        area = (float(loads.sum()) + suffix[depth]) / total_speed
-        if max(area, float(completion.max())) >= state["best"] - 1e-12:
+        area = (float(add(loads)) + suffix[depth]) / total_speed
+        if max(area, float(maximum(completion))) >= best - 1e-12:
             return
         w = float(sorted_costs[depth])
         tried_empty_speeds = set()
         # Deterministic order: earliest-finishing ranks first tightens
-        # pruning (the Q||C_max analogue of least-loaded-first).
-        for r in np.argsort(completion, kind="stable"):
-            r = int(r)
-            if loads[r] == 0.0:
-                s = float(speeds[r])
-                if s in tried_empty_speeds:
+        # pruning (least-loaded first at unit speeds).
+        for r in completion.argsort(kind="stable").tolist():
+            load = float(loads[r])
+            if load == 0.0:
+                if speed_of[r] in tried_empty_speeds:
                     continue  # idle ranks of one speed class are interchangeable
-                tried_empty_speeds.add(s)
-            if (loads[r] + w) / speeds[r] >= state["best"] - 1e-12:
+                tried_empty_speeds.add(speed_of[r])
+            if (load + w) / speed_of[r] >= best - 1e-12:
                 continue
             loads[r] += w
             assign_sorted[depth] = r
             dfs(depth + 1)
             loads[r] -= w
             assign_sorted[depth] = -1
-            if state["best"] <= lb * (1 + 1e-12):
+            if best <= lb * (1 + 1e-12):
                 return  # matched the lower bound: proven optimal
 
     dfs(0)
 
-    if state["best_sorted"] is not None:
-        best = state["best"]
+    if best_sorted is not None:
         best_assign = np.empty(n, dtype=np.int64)
-        best_assign[order] = state["best_sorted"]
-    optimal = state["complete"] or best <= lb * (1 + 1e-12)
+        best_assign[order] = best_sorted
+    optimal = complete or best <= lb * (1 + 1e-12)
     return BnBResult(
-        best_assign, float(best), bool(optimal), state["nodes"], time.perf_counter() - t0
+        best_assign, float(best), bool(optimal), nodes, time.perf_counter() - t0
     )

@@ -148,10 +148,6 @@ class MessageStats:
         vis = self.mpi_visible
         return self.remote / vis if vis else 0.0
 
-    @property
-    def total_volume(self) -> float:
-        return self.intra_rank_volume + self.local_volume + self.remote_volume
-
 
 def message_stats(
     graph: NeighborGraph,

@@ -156,7 +156,3 @@ class EngineContext:
         if self._restore is not None:
             raise RuntimeError("a restore is already pending this epoch")
         self._restore = handler
-
-    @property
-    def restore_pending(self) -> bool:
-        return self._restore is not None

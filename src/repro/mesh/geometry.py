@@ -23,8 +23,6 @@ __all__ = [
     "BlockIndex",
     "RootGrid",
     "child_offsets",
-    "parent_of",
-    "children_of",
     "block_bounds",
     "blocks_overlap",
     "same_or_ancestor",
@@ -105,16 +103,6 @@ class BlockIndex:
             raise ValueError(f"ancestor level {level} exceeds block level {self.level}")
         shift = self.level - level
         return BlockIndex(level, tuple(c >> shift for c in self.coords))
-
-
-def parent_of(idx: BlockIndex) -> BlockIndex:
-    """Functional alias of :meth:`BlockIndex.parent`."""
-    return idx.parent()
-
-
-def children_of(idx: BlockIndex) -> Tuple[BlockIndex, ...]:
-    """Functional alias of :meth:`BlockIndex.children`."""
-    return idx.children()
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -166,15 +166,6 @@ class OctreeForest:
         """Iterate leaves (in depth-first order)."""
         return iter(self._dfs_blocks())
 
-    def leaf_level(self, idx: BlockIndex) -> int | None:
-        """Level of the leaf equal to or covering ``idx``, or None.
-
-        ``None`` when ``idx`` is outside the domain or an internal node
-        (its region is covered by finer leaves).
-        """
-        leaf = self.find_covering_leaf(idx)
-        return None if leaf is None else leaf.level
-
     def find_covering_leaf(self, idx: BlockIndex) -> BlockIndex | None:
         """Return the leaf equal to or an ancestor of ``idx``, if any."""
         if not self.root.contains(idx):

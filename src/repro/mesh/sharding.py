@@ -13,7 +13,7 @@ accounting so tests and benchmarks can gate the memory claim.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -87,9 +87,6 @@ class ShardedBlockTable:
         if not 0 <= shard < self.n_shards:
             raise IndexError(f"shard {shard} out of range [0, {self.n_shards})")
         return self._bounds[shard], self._bounds[shard + 1]
-
-    def shard_sizes(self) -> List[int]:
-        return [hi - lo for lo, hi in zip(self._bounds, self._bounds[1:])]
 
     def column(self, shard: int, name: str) -> np.ndarray:
         """Materialize one column of one shard."""

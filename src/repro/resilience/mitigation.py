@@ -164,13 +164,8 @@ class MitigationEngine:
                 )
             )
 
-        self.actions.extend(planned)
         return planned
 
     def record(self, action: MitigationAction) -> None:
-        """Log an externally-constructed action (checkpoints, restores)."""
+        """Log an action the run applied (planned or not)."""
         self.actions.append(action)
-
-    @property
-    def total_cost_s(self) -> float:
-        return sum(a.cost_s for a in self.actions)

@@ -239,10 +239,6 @@ class FaultTimeline:
         """The degenerate timeline: static faults only."""
         return cls(base=model)
 
-    @property
-    def is_static(self) -> bool:
-        return not self.events
-
     # -- queries the resilient driver runs per epoch -------------------- #
 
     def throttle_onsets_in(self, step_lo: int, step_hi: int) -> List[ThrottleOnset]:

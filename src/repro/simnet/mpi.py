@@ -54,10 +54,6 @@ class PhaseTimes:
     wait_s: float = 0.0
     sync_s: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.wait_s + self.sync_s
-
 
 @dataclasses.dataclass
 class TransportStats:

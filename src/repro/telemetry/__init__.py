@@ -25,7 +25,7 @@ from .anomaly import (
     detect_wait_spikes,
 )
 from .collector import TelemetryCollector
-from .dataset import Predicate, TelemetryDataset
+from .dataset import TelemetryDataset
 from .columnar import (
     ColumnTable,
     CorruptTelemetryError,
@@ -79,7 +79,6 @@ __all__ = [
     "RunComparison",
     "compare_runs",
     "PhaseBreakdown",
-    "Predicate",
     "TelemetryDataset",
     "Query",
     "Finding",

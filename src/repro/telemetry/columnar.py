@@ -32,6 +32,7 @@ import numpy as np
 __all__ = [
     "ColumnTable",
     "CorruptTelemetryError",
+    "atomic_write",
     "fsync_dir",
     "write_table",
     "read_table",
@@ -60,6 +61,28 @@ def fsync_dir(path: "str | Path") -> None:
         pass
     finally:
         os.close(fd)
+
+
+def atomic_write(path: "str | Path", *chunks: bytes) -> None:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    The bytes are staged in ``<name>.tmp`` beside the target, fsynced,
+    renamed over it, and the directory is fsynced (:func:`fsync_dir`):
+    readers never observe a torn file (a crash mid-write leaves the old
+    file intact, at worst plus a stray ``.tmp`` that the next write
+    overwrites), and the rename itself survives a power-loss-style
+    interruption.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.flush()
+        os.fsync(fh.fileno())
+    tmp.replace(path)
+    fsync_dir(path.parent)
+
 
 _MAGIC = b"RPRC01\n"
 _SUPPORTED_KINDS = ("i", "u", "f", "b")
@@ -241,21 +264,7 @@ def write_table(table: ColumnTable, path: str | Path) -> int:
         payloads.append(raw)
         offset += len(raw)
     header = json.dumps({"n_rows": table.n_rows, "columns": meta_cols}).encode()
-    # Write-to-temp + atomic rename + directory fsync: readers never
-    # observe a torn file (a crash mid-write leaves the old file intact,
-    # at worst plus a stray .tmp that the next write overwrites), and
-    # the rename itself survives a power-loss-style interruption.
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for p in payloads:
-            fh.write(p)
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-    fsync_dir(path.parent)
+    atomic_write(path, _MAGIC, struct.pack("<I", len(header)), header, *payloads)
     return len(_MAGIC) + 4 + len(header) + offset
 
 

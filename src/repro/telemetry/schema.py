@@ -8,11 +8,11 @@ with measures as plain numeric columns.  Dimension values are integers
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["RANK_STEP_SCHEMA", "EPOCH_SCHEMA", "empty_columns"]
+__all__ = ["RANK_STEP_SCHEMA", "EPOCH_SCHEMA"]
 
 #: Per-(step, rank) record: the workhorse table, one row per rank per
 #: simulated (or sampled) timestep.
@@ -44,8 +44,3 @@ EPOCH_SCHEMA: Dict[str, np.dtype] = {
     "migration_blocks": np.dtype(np.int64),
     "epoch_wall_s": np.dtype(np.float64),  # simulated wall time of the epoch
 }
-
-
-def empty_columns(schema: Dict[str, np.dtype]) -> Dict[str, List]:
-    """Fresh accumulation buffers (python lists) for a schema."""
-    return {name: [] for name in schema}

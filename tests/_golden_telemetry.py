@@ -1,19 +1,18 @@
 """Frozen pre-plan-engine telemetry implementations (parity reference).
 
-Verbatim copies of the eager ``Query.run``, ``TelemetryDataset.read``
-and ``rankwise_variance`` as they existed before the lazy logical-plan
-refactor.  The property tests in ``test_telemetry_plan.py`` assert the
+Verbatim copies of the eager ``Query.run`` and ``rankwise_variance``
+as they existed before the lazy logical-plan refactor.  The property tests in ``test_telemetry_plan.py`` assert the
 planned engine is *bit-identical* to these.  Never modernize this file —
 its whole value is staying frozen.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.telemetry.columnar import ColumnTable, read_stats, read_table
+from repro.telemetry.columnar import ColumnTable
 
 
 def _agg_quantile(q: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -148,39 +147,6 @@ class GoldenQuery:
             else:
                 out[name] = np.empty(0, dtype=np.float64)
         return ColumnTable(out)
-
-
-def golden_dataset_read(
-    dataset,
-    predicates: Sequence = (),
-    columns: Sequence[str] | None = None,
-) -> ColumnTable:
-    """The pre-refactor eager ``TelemetryDataset.read``, frozen.
-
-    ``predicates`` are the range-style ``repro.telemetry.dataset
-    .Predicate`` objects (lo/hi bounds), as before the refactor.
-    """
-    tables: List[ColumnTable] = []
-    for part in dataset._manifest["partitions"]:
-        path = dataset.root / part["file"]
-        stats = read_stats(path)
-        if not all(p.might_match(stats) for p in predicates):
-            continue
-        t = read_table(path, columns=None)  # need predicate columns too
-        if predicates:
-            mask = np.ones(t.n_rows, dtype=bool)
-            for p in predicates:
-                mask &= p.mask(t)
-            t = t.filter(mask)
-        if columns is not None:
-            t = t.select(list(columns))
-        tables.append(t)
-    if not tables:
-        raise LookupError("no partition matches the given predicates")
-    out = tables[0]
-    for t in tables[1:]:
-        out = out.concat(t)
-    return out
 
 
 def golden_rankwise_variance(table: ColumnTable, col: str = "comm_s") -> Dict[str, float]:

@@ -13,6 +13,7 @@ from repro.core import (
     cdp_restricted,
     chunked_cdp_counts,
     counts_makespan,
+    get_policy,
     split_chunks,
 )
 from repro.core.cdp import cdp_restricted_zones
@@ -164,6 +165,27 @@ class TestChunking:
             [cdp_restricted(costs[a:b], hi - lo) for a, b, lo, hi in zones]
         )
         np.testing.assert_array_equal(cdp_restricted_zones(costs, zones), expected)
+
+    @given(
+        st.integers(1, 512),
+        st.floats(0.1, 3.0),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_policy_equals_cdp_up_to_512_ranks(self, r, per_rank, seed, ties):
+        """At most 512 ranks make one zone, so ``cdp-chunked`` (the
+        guard's first tier) assigns exactly as unchunked ``cdp``."""
+        rng = np.random.default_rng(seed)
+        n = max(1, int(r * per_rank))
+        costs = (
+            rng.integers(0, 4, n).astype(np.float64) if ties
+            else rng.exponential(1.0, n)
+        )
+        np.testing.assert_array_equal(
+            get_policy("cdp-chunked").place(costs, r).assignment,
+            get_policy("cdp").place(costs, r).assignment,
+        )
 
     def test_chunking_quality_close_to_global(self):
         """Ablation guard: chunked CDP loses little vs global restricted CDP."""

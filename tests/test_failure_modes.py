@@ -13,6 +13,7 @@ from repro.core import get_policy
 from repro.telemetry import (
     ColumnTable,
     CorruptTelemetryError,
+    Query,
     TelemetryDataset,
     read_stats,
     read_table,
@@ -81,7 +82,7 @@ class TestCorruptedDataset:
         (tmp_path / "ds" / "part-00000.rprc").unlink()
         again = TelemetryDataset.open(tmp_path / "ds")
         with pytest.raises(FileNotFoundError):
-            again.read()
+            Query(again).run()
 
 
 class TestBadPolicyInputs:

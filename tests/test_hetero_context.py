@@ -62,7 +62,8 @@ class TestPlacementContext:
     def test_homogeneous_builder(self):
         ctx = PlacementContext.homogeneous(32)
         assert ctx.n_ranks == 32
-        assert ctx.is_uniform and ctx.uniform_speed and ctx.uniform_nic
+        assert ctx.uniform_speed
+        assert (ctx.rank_nic_gbps == ctx.rank_nic_gbps[0]).all()
         assert ctx.total_capacity() == pytest.approx(32.0)
 
     def test_validation(self):

@@ -15,14 +15,14 @@ class TestOctreeLeafLevel:
         f = OctreeForest(RootGrid((2, 2)), max_level=2)
         b = BlockIndex(0, (0, 0))
         kids = f.refine(b)
-        # A leaf reports its own level.
-        assert f.leaf_level(kids[0]) == 1
-        # A descendant index of a leaf reports the covering leaf's level.
-        assert f.leaf_level(kids[0].children()[0]) == 1
-        # An internal (refined) region reports None.
-        assert f.leaf_level(b) is None
-        # Outside the domain reports None.
-        assert f.leaf_level(BlockIndex(0, (5, 5))) is None
+        # A leaf covers itself.
+        assert f.find_covering_leaf(kids[0]) == kids[0]
+        # A descendant index of a leaf is covered by that leaf.
+        assert f.find_covering_leaf(kids[0].children()[0]) == kids[0]
+        # An internal (refined) region has no covering leaf.
+        assert f.find_covering_leaf(b) is None
+        # Outside the domain has none either.
+        assert f.find_covering_leaf(BlockIndex(0, (5, 5))) is None
 
 
 class TestCdpOptimalEdges:
@@ -60,9 +60,6 @@ class TestMessageStatsPartition:
         a = rng.integers(0, n_ranks, size=g.n_blocks)
         ms = message_stats(g, a, ranks_per_node=2)
         assert ms.intra_rank + ms.local + ms.remote == g.n_edges
-        assert ms.total_volume == pytest.approx(
-            ms.intra_rank_volume + ms.local_volume + ms.remote_volume
-        )
 
 
 class TestPlacementResultLoads:

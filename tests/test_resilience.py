@@ -89,7 +89,7 @@ class TestFaultEvents:
 
     def test_static_timeline_is_degenerate(self):
         tl = FaultTimeline.static(FaultModel(throttled_node_fraction=0.25))
-        assert tl.is_static
+        assert tl.events == ()
         assert tl.crashes_in(0, 10**9) == []
         assert tl.throttle_onsets_in(0, 10**9) == []
         assert tl.fault_model_at(123) == tl.base
@@ -268,7 +268,7 @@ class TestGuardedPolicy:
     def test_registry_integration(self):
         g = get_policy("guarded")
         assert isinstance(g, GuardedPolicy)
-        assert [t.name for t in g.chain] == ["cdp", "cdp-chunked", "lpt", "baseline"]
+        assert [t.name for t in g.chain] == ["cdp-chunked", "lpt", "baseline"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

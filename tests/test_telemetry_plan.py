@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tests._golden_telemetry import (
     GoldenQuery,
-    golden_dataset_read,
     golden_rankwise_variance,
 )
 from repro.cli import main
@@ -25,7 +24,6 @@ from repro.telemetry import (
     Filter,
     GroupAgg,
     Limit,
-    Predicate,
     Project,
     Query,
     Scan,
@@ -160,17 +158,17 @@ def test_planned_query_matches_golden_eager_on_datasets(tmp_path_factory, table,
 @given(tables(max_rows=40), st.integers(1, 3),
        st.sampled_from([(None, 3.0), (2.0, None), (1.0, 4.0), (9.0, None)]))
 def test_dataset_read_matches_golden_eager(tmp_path_factory, table, n_parts, bounds):
+    """A pruned, projected range read of a partitioned dataset equals
+    the frozen eager query over the whole table."""
     tmp = tmp_path_factory.mktemp("read-ds")
     ds = _partitioned(tmp, table, n_parts)
-    preds = [Predicate("step", lo=bounds[0], hi=bounds[1])]
-    try:
-        want = golden_dataset_read(ds, preds, columns=["step", "comm_s"])
-    except LookupError:
-        with pytest.raises(LookupError):
-            ds.read(preds, columns=["step", "comm_s"])
-        return
-    got = ds.read(preds, columns=["step", "comm_s"])
-    assert_tables_identical(got, want)
+    got, want = Query(ds), GoldenQuery(table)
+    for op, value in zip((">=", "<="), bounds):
+        if value is not None:
+            got, want = got.where("step", op, value), want.where("step", op, value)
+    assert_tables_identical(
+        got.select("step", "comm_s").run(), want.run().select(["step", "comm_s"])
+    )
 
 
 @given(tables())
@@ -245,9 +243,6 @@ def test_all_partitions_pruned_yields_typed_empty(tmp_path):
     assert got["step"].dtype == np.int64
     assert rep.scans[0].partitions_scanned == []
     assert len(rep.scans[0].partitions_pruned) == 2
-    # The range-read API keeps its historical contract: all-pruned raises.
-    with pytest.raises(LookupError):
-        ds.read([Predicate("step", lo=1000.0)])
 
 
 # --------------------------------------------------------------------- #
