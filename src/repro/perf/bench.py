@@ -150,21 +150,36 @@ POLICY_ARMS = ("lpt", "cdp", "cdp-chunked", "cplx:50")
 BLOCKS_PER_RANK = 2.25      #: scalebench's blocks-per-rank ratio
 
 
-def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
-    """Median-of-``repeats`` host seconds for ``fn`` (after warmup runs)."""
-    for _ in range(warmup):
-        fn()
-    times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+def _summary(times: List[float]) -> Dict:
+    """Median, min and mean of a case's timed repeats."""
     return {
         "median_s": statistics.median(times),
         "min_s": min(times),
         "mean_s": statistics.fmean(times),
-        "repeats": repeats,
+        "repeats": len(times),
     }
+
+
+def _timed(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
+    """Median-of-``repeats`` host seconds for ``fn`` (after warmup runs)."""
+    for _ in range(warmup):
+        fn()
+    return _summary([_timed(fn) for _ in range(repeats)])
+
+
+def _interleaved(a: Callable[[], object], b: Callable[[], object],
+                 repeats: int) -> Tuple[Dict, Dict]:
+    """Summaries of ``a`` and ``b`` timed in alternating rounds, so host
+    drift (thermal, other tenants) lands on both sides rather than
+    biasing one block."""
+    rounds = [(_timed(a), _timed(b)) for _ in range(repeats)]
+    return _summary([r[0] for r in rounds]), _summary([r[1] for r in rounds])
 
 
 def _environment(profile: str) -> Dict:
@@ -422,27 +437,7 @@ def _bench_executor(
     # is priced on.
     if run_sup().results != run_bare():
         raise RuntimeError("supervised/bare executor results diverged")
-    # Interleaved bare/supervised rounds, so host drift (thermal, other
-    # tenants) lands on both sides rather than biasing one block.
-    bare_times: List[float] = []
-    sup_times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_bare()
-        bare_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_sup()
-        sup_times.append(time.perf_counter() - t0)
-
-    def summarize(times: List[float]) -> Dict:
-        return {
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "mean_s": statistics.fmean(times),
-            "repeats": repeats,
-        }
-
-    bare, sup = summarize(bare_times), summarize(sup_times)
+    bare, sup = _interleaved(run_bare, run_sup, repeats)
     key = f"c{len(cells)}j{jobs}"
     metrics[f"executor.bare_pool.{key}"] = bare
     metrics[f"executor.supervised.{key}"] = sup
@@ -582,27 +577,7 @@ def _bench_service(
     direct_digest = run_direct().digest()
     if run_job().digest != direct_digest:
         raise RuntimeError("job-layer digest diverged from direct sweep")
-    # Interleaved rounds, as in the executor benchmark, so host drift
-    # lands on both sides.
-    direct_times: List[float] = []
-    job_times: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_direct()
-        direct_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_job()
-        job_times.append(time.perf_counter() - t0)
-
-    def summarize(times: List[float]) -> Dict:
-        return {
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "mean_s": statistics.fmean(times),
-            "repeats": len(times),
-        }
-
-    direct, job = summarize(direct_times), summarize(job_times)
+    direct, job = _interleaved(run_direct, run_job, repeats)
     key = f"s{sp['steps']}p{len(sp['policies'])}"
     metrics[f"service.direct_sweep.{key}"] = direct
     metrics[f"service.job_runner.{key}"] = job
@@ -640,17 +615,10 @@ def _bench_service(
         with live_service(journal_root=os.path.join(root, "svc")) as service:
             with ServiceClient(*service.address) as client:
                 client.ping()  # warmup
-                ping_times: List[float] = []
-                for _ in range(sp["rpc_repeats"]):
-                    t0 = time.perf_counter()
-                    client.ping()
-                    ping_times.append(time.perf_counter() - t0)
-    metrics["service.rpc_ping"] = {
-        "median_s": statistics.median(ping_times),
-        "min_s": min(ping_times),
-        "mean_s": statistics.fmean(ping_times),
-        "repeats": sp["rpc_repeats"],
-    }
+                ping = _summary(
+                    [_timed(client.ping) for _ in range(sp["rpc_repeats"])]
+                )
+    metrics["service.rpc_ping"] = ping
 
     # Durable-store tax: the same submit -> result round trips through
     # a live service with and without ``--state``.  The write-ahead
@@ -690,7 +658,7 @@ def _bench_service(
                 for _ in range(sp["jobstore_pairs"]):
                     inmem_times.append(submit_and_wait(c_mem))
                     store_times.append(submit_and_wait(c_dur))
-    inmem, store = summarize(inmem_times), summarize(store_times)
+    inmem, store = _summary(inmem_times), _summary(store_times)
     jkey = f"s{sp['jobstore_steps']}p{len(sp['policies'])}"
     metrics[f"service.submit_inmem.{jkey}"] = inmem
     metrics[f"service.submit_jobstore.{jkey}"] = store
@@ -702,7 +670,7 @@ def _bench_service(
         f"direct {direct['min_s'] * 1e3:.1f} ms, "
         f"job layer {job['min_s'] * 1e3:.1f} ms "
         f"({derived['service.runner_overhead_ratio']:.3f}x); "
-        f"rpc ping {statistics.median(ping_times) * 1e6:.0f} us; "
+        f"rpc ping {ping['median_s'] * 1e6:.0f} us; "
         f"jobstore {store['median_s'] * 1e3:.1f} ms vs "
         f"in-memory {inmem['median_s'] * 1e3:.1f} ms "
         f"({derived['service.jobstore_overhead_ratio']:.3f}x median "
