@@ -59,9 +59,7 @@ def main() -> None:
             os.environ[CHAOS_ENV] = "crash:2;crash:5@1"
             report = supervised_map(
                 place_cell, items, jobs=2,
-                config=SupervisorConfig(
-                    retries=1, backoff_base_s=0.01, journal_dir=journal
-                ),
+                config=SupervisorConfig(retries=1, journal_dir=journal),
             )
         finally:
             if saved_chaos is None:

@@ -3,7 +3,7 @@
 The layers, each usable on its own:
 
 * :mod:`repro.perf.executor` — the worker-count resolution
-  (``--jobs N``, ``REPRO_JOBS``) and the cell error of the sweeps;
+  (``--jobs N``) and the cell error of the sweeps;
 * :mod:`repro.perf.supervisor` — the one sweep executor, used by
   ``run_sedov_sweep``, ``run_scalebench`` and the resilience
   experiment: a deterministic ordered merge, serial or on a worker

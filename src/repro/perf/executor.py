@@ -37,10 +37,6 @@ __all__ = ["CellExecutionError", "effective_jobs"]
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Operator override for the worker count (e.g. ``REPRO_JOBS=4`` in CI).
-#: When set and non-empty it wins over any ``--jobs`` value.
-JOBS_ENV = "REPRO_JOBS"
-
 
 class CellExecutionError(RuntimeError):
     """A sweep cell failed; carries *which* cell and why.
@@ -62,19 +58,10 @@ class CellExecutionError(RuntimeError):
 def effective_jobs(jobs: Optional[int], n_items: Optional[int] = None) -> int:
     """Resolve a ``--jobs`` value: ``None``/``0`` means one per CPU.
 
-    A non-empty :data:`JOBS_ENV` (``REPRO_JOBS``) environment variable
-    overrides ``jobs`` outright — the operator's knob for forcing a
-    worker count across a whole pipeline without touching every flag.
     When ``n_items`` is given, the result is capped at the cell count
     (never below 1): spawning more workers than cells only burns fork
     time.
     """
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{JOBS_ENV}={env!r} is not an integer") from exc
     if jobs is None or jobs == 0:
         n = os.cpu_count() or 1
     elif jobs < 0:

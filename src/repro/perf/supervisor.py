@@ -89,7 +89,9 @@ EVENT_CODES: Dict[str, int] = {
 
 #: supervisor wake-up period for liveness, cancel and deadline checks
 POLL_INTERVAL_S = 0.05
-#: cap on the exponential retry backoff
+#: exponential backoff before attempt k+1: ``BACKOFF_BASE_S * 2**(k-1)``,
+#: capped at :data:`BACKOFF_MAX_S`
+BACKOFF_BASE_S = 0.05
 BACKOFF_MAX_S = 2.0
 
 
@@ -102,9 +104,6 @@ class SupervisorConfig:
     #: per-cell wall-clock timeout (None = never time out).  Enforced by
     #: killing the worker, so it holds even for cells stuck in C code.
     timeout_s: Optional[float] = None
-    #: exponential backoff before attempt k+1: ``base * 2**(k-1)``,
-    #: capped at :data:`BACKOFF_MAX_S`
-    backoff_base_s: float = 0.05
     #: journal root directory (None = no journal, no resume)
     journal_dir: Optional[str] = None
     #: replay completed cells from the journal instead of re-running them
@@ -497,7 +496,7 @@ class _Supervision:
 
     def backoff_s(self, attempt: int) -> float:
         return min(
-            self.config.backoff_base_s * (2 ** max(attempt - 1, 0)),
+            BACKOFF_BASE_S * (2 ** max(attempt - 1, 0)),
             BACKOFF_MAX_S,
         )
 

@@ -7,9 +7,9 @@ crash or restart loses no tenant's work:
 * **torn records** (CRC failure) are quarantined as ``*.torn`` files
   and reported — never trusted, never silently dropped from the count;
 * **terminal records** (done/failed/cancelled/shed) are rehydrated as
-  finished jobs: their digests, exit codes, and errors stay queryable
-  through ``status``/``result`` (the rendered text is the one thing
-  not retained across a restart);
+  finished jobs: their digests, exit codes, errors and executor events
+  stay queryable through ``status``/``result``/``events``/``query``
+  (the rendered text is the one thing not retained across a restart);
 * **submitted/queued records** are re-admitted to the
   :class:`~repro.service.queue.AdmissionQueue` in original submission
   order (the queue's priority rule then re-derives the same dispatch

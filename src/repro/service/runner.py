@@ -57,19 +57,7 @@ class JobResult:
 
     def to_wire(self) -> Dict:
         """A JSON-safe dict (the ``result`` verb's payload)."""
-        return {
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "text": self.text,
-            "exit_code": self.exit_code,
-            "digest": self.digest,
-            "cancelled": self.cancelled,
-            "deadline_exceeded": self.deadline_exceeded,
-            "counters": dict(self.counters),
-            "journal_path": self.journal_path,
-            "pattern_cache": dict(self.pattern_cache),
-            "traj_cache": dict(self.traj_cache),
-        }
+        return dataclasses.asdict(self)
 
 
 def _probe_traj_cache(spec: JobSpec) -> Dict[str, int]:

@@ -40,11 +40,12 @@ response with a ``retry_after_s`` hint.
 Execution: jobs run in a thread pool (each job may itself fan out a
 supervised *process* pool per its ``jobs`` parameter); every job gets a
 private journal under the service root, a cancel flag file, and the
-process-wide shared pattern cache.  The server holds each job's
-executor events in memory; the journal spools them to disk once per
-run segment, and a restart reads back the partitions a finished job's
-record names.  Tenants share the on-disk trajectory cache, LRU-pruned
-after every job.
+process-wide shared pattern cache.  A live job *is* its
+:class:`~repro.service.store.JobRecord` plus in-memory state; its
+executor events are appended on the event loop and written into the
+record when the job finishes, so a restart reads them back from the
+record.  Tenants share the on-disk trajectory cache, LRU-pruned after
+every job.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..perf.supervisor import EVENT_CODES, ExecutorEvent, SupervisorConfig, events_table
+from ..perf.supervisor import ExecutorEvent, SupervisorConfig, events_table
 from .queue import AdmissionQueue, QueuedJob, QuotaConfig, QuotaExceeded
 from .recovery import recover_jobs
 from .runner import JobResult, JobRunner
-from .spec import JobSpec, spec_from_params
+from .spec import REGISTRY, JobSpec, spec_from_params
 from .store import JobRecord, JobStore, spec_hash
 
 __all__ = ["JobService", "ServiceConfig", "serve", "MAX_FRAME_BYTES"]
@@ -83,8 +84,6 @@ class ServiceConfig:
     #: shared on-disk trajectory cache for every tenant (None = off)
     traj_cache: Optional[str] = None
     traj_cache_entries: int = 32       #: LRU budget, pruned after each job
-    #: per-job worker processes when a submit doesn't say (0 = per CPU)
-    default_jobs: int = 1
     cancel_grace_s: float = 30.0
     #: durable job store + restart recovery root (None = in-memory only,
     #: the pre-durability behaviour)
@@ -109,69 +108,17 @@ def _n_cells(spec: JobSpec) -> int:
     return 0
 
 
-def _spool_parts(journal_dir: str) -> List[str]:
-    """Journal-relative paths of every telemetry partition spooled under
-    a journal (a spool with no readable manifest contributes none)."""
-    from ..telemetry.dataset import TelemetryDataset
-
-    parts: List[str] = []
-    for spool in sorted(Path(journal_dir).glob("sweep-*/telemetry")):
-        try:
-            files = TelemetryDataset.open(spool).partition_files()
-        except (OSError, ValueError):
-            continue
-        parts.extend(str(f.relative_to(journal_dir)) for f in files)
-    return parts
-
-
-def _spooled_events(journal_dir: str, parts: List[str]) -> List[ExecutorEvent]:
-    """A job's executor events read back from the spool partitions its
-    last run wrote (``parts``, kept in its record).  ``detail`` is not
-    spooled and comes back as ``""``.  A partition that cannot be read
-    costs this job its events, never the boot."""
-    from ..telemetry.columnar import read_table
-
-    kinds = {code: kind for kind, code in EVENT_CODES.items()}
-    events: List[ExecutorEvent] = []
-    try:
-        for part in parts:
-            t = read_table(Path(journal_dir) / part)
-            events.extend(
-                ExecutorEvent(t_s, cell, kinds[code], attempt)
-                for t_s, cell, code, attempt in zip(
-                    t["t_s"].tolist(), t["cell"].tolist(),
-                    t["kind"].tolist(), t["attempt"].tolist(),
-                )
-            )
-    except (OSError, ValueError, KeyError):
-        return []
-    return events
-
-
 @dataclasses.dataclass
-class _Job:
-    """Server-side record of one submitted job."""
+class _Job(JobRecord):
+    """Server-side state of one submitted job: its durable record plus
+    what exists only in memory."""
 
-    job_id: str
-    seq: int
-    spec: JobSpec
-    params: Dict
-    journal_dir: str
-    n_cells: int
-    spec_hash: str
-    state: str = "queued"   #: queued|running|done|failed|cancelled|shed
-    idempotency_key: Optional[str] = None
-    deadline_s: Optional[float] = None
-    resume_of: Optional[str] = None
-    crashes: int = 0
+    spec: Optional[JobSpec] = None
+    n_cells: int = 0
     #: set while a drain shutdown is checkpointing this job (its cancel
     #: is a *suspension*: the store keeps it queued for the next boot)
     draining: bool = False
-    events: List[ExecutorEvent] = dataclasses.field(default_factory=list)
-    #: journal-relative spool partitions the job's last run wrote
-    spool: List[str] = dataclasses.field(default_factory=list)
     result: Optional[JobResult] = None
-    error: Optional[str] = None
     done: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
 
     @property
@@ -187,9 +134,9 @@ class _Job:
     def status(self) -> Dict:
         out = {
             "job_id": self.job_id,
-            "kind": self.spec.kind,
-            "tenant": self.spec.tenant,
-            "priority": self.spec.priority,
+            "kind": self.kind,
+            "tenant": self.tenant,
+            "priority": self.priority,
             "state": self.state,
             "cells_total": self.n_cells,
             "cells_done": self.completed_cells,
@@ -211,30 +158,6 @@ class _Job:
             out["pattern_cache"] = dict(self.result.pattern_cache)
             out["traj_cache"] = dict(self.result.traj_cache)
         return out
-
-    def record(self) -> JobRecord:
-        """The job's durable form (what the store persists)."""
-        return JobRecord(
-            job_id=self.job_id,
-            seq=self.seq,
-            kind=self.spec.kind,
-            params=self.params,
-            tenant=self.spec.tenant,
-            priority=self.spec.priority,
-            jobs=self.spec.jobs,
-            state=self.state,
-            journal_dir=self.journal_dir,
-            spec_hash=self.spec_hash,
-            idempotency_key=self.idempotency_key,
-            deadline_s=self.deadline_s,
-            resume_of=self.resume_of,
-            crashes=self.crashes,
-            digest=self.result.digest if self.result else None,
-            exit_code=self.result.exit_code if self.result else None,
-            error=self.error,
-            cancelled=bool(self.result.cancelled) if self.result else False,
-            spool=list(self.spool),
-        )
 
 
 class JobService:
@@ -291,11 +214,7 @@ class JobService:
         self.recovery = plan
         self._ids = itertools.count(plan.max_seq + 1)
         for rec in plan.finished:
-            job = self._job_from_record(rec)
-            job.state = rec.state
-            job.error = rec.error
-            job.spool = list(rec.spool)
-            job.events = _spooled_events(job.journal_dir, job.spool)
+            job = self._new_job(rec, resume=True)
             if rec.state != "shed":
                 # Digest/exit survive a restart; the rendered text does
                 # not — the result verb says so instead of guessing.
@@ -312,7 +231,7 @@ class JobService:
             job.done.set()
             self.jobs[job.job_id] = job
         for rec in plan.requeue:
-            job = self._job_from_record(rec)
+            job = self._new_job(rec, resume=True)
             # A cancel flag from the previous incarnation (killed while
             # *cancelling*) is transient intent, not durable state:
             # left in place it would insta-cancel the recovered run.
@@ -325,56 +244,41 @@ class JobService:
             # Quotas were paid at the original submit: recovery
             # re-admission must never bounce surviving work.
             self.queue.readmit(
-                QueuedJob(job_id=job.job_id, tenant=rec.tenant,
-                          priority=rec.priority, payload=job)
+                QueuedJob(job_id=job.job_id, tenant=job.tenant,
+                          priority=job.priority, payload=job)
             )
         for job in self.jobs.values():
             if job.idempotency_key:
                 self._idempotency[job.idempotency_key] = job.job_id
 
-    def _job_from_record(self, rec: JobRecord) -> _Job:
-        """Rebuild a live job from its durable record.
-
-        The spec goes back through :func:`spec_from_params` — the same
-        path a fresh submit takes — with ``resume=True`` supervision so
-        an existing sweep journal replays instead of re-running.
-        """
-        spec = spec_from_params(
-            rec.kind, rec.params, tenant=rec.tenant, priority=rec.priority,
-            jobs=rec.jobs,
-        )
-        return self._new_job(
-            spec, rec.job_id, rec.journal_dir, resume=True,
-            seq=rec.seq,
-            params=dict(rec.params),
-            spec_hash=rec.spec_hash,
-            state="queued",
-            idempotency_key=rec.idempotency_key,
-            deadline_s=rec.deadline_s,
-            resume_of=rec.resume_of,
-            crashes=rec.crashes,
-        )
-
-    def _new_job(self, spec: JobSpec, job_id: str, journal_dir: str,
-                 resume: bool, **fields) -> _Job:
-        """A live job for ``spec``, fresh or recovered alike: it runs
+    def _new_job(self, rec: JobRecord, resume: bool,
+                 spec: Optional[JobSpec] = None) -> _Job:
+        """The live job of ``rec``, fresh or recovered alike: it runs
         under its own journal, its cancel flag and the shared pattern
-        store, which the supervisor hands to every cell.  ``fields`` are
-        the remaining :class:`_Job` fields."""
+        store, which the supervisor hands to every cell.  Without
+        ``spec`` the spec is rebuilt from the record's params through
+        :func:`spec_from_params`, the path a fresh submit takes;
+        ``resume`` makes an existing sweep journal replay instead of
+        re-running."""
+        if spec is None:
+            # A record from before submits were checked may hold params
+            # its kind never read: they were ignored then, and are here.
+            known = REGISTRY[rec.kind].params
+            spec = spec_from_params(
+                rec.kind, {k: v for k, v in rec.params.items() if k in known},
+                tenant=rec.tenant, priority=rec.priority, jobs=rec.jobs,
+            )
         supervise = SupervisorConfig(
-            journal_dir=journal_dir,
+            journal_dir=rec.journal_dir,
             resume=resume,
             cancel_grace_s=self.config.cancel_grace_s,
             cancel_path=str(
-                Path(self.config.journal_root) / f"{job_id}.cancel"
+                Path(self.config.journal_root) / f"{rec.job_id}.cancel"
             ),
             shared_pattern_store=True,
         )
         spec = dataclasses.replace(spec, supervise=supervise)
-        return _Job(
-            job_id=job_id, spec=spec, journal_dir=journal_dir,
-            n_cells=_n_cells(spec), **fields,
-        )
+        return _Job(**vars(rec), spec=spec, n_cells=_n_cells(spec))
 
     @property
     def address(self) -> tuple:
@@ -515,7 +419,7 @@ class JobService:
     def _persist(self, job: _Job, force: bool = False) -> None:
         """Write-through: the store sees every transition as it happens."""
         if self.store is not None:
-            self.store.write(job.record(), force=force)
+            self.store.write(job, force=force)
 
     # ------------------------------------------------------------------ #
     # verbs
@@ -574,7 +478,7 @@ class JobService:
         params = dict(request.get("params") or {})
         tenant = str(request.get("tenant", "default"))
         priority = int(request.get("priority", 0))
-        jobs = int(request.get("jobs", self.config.default_jobs))
+        jobs = int(request.get("jobs", 1))
         resume_of = request.get("resume_of")
         idempotency_key = request.get("idempotency_key")
         deadline_s = request.get("deadline_s", self.config.default_deadline_s)
@@ -636,18 +540,15 @@ class JobService:
             journal_dir = self.jobs[resume_of].journal_dir
         else:
             journal_dir = str(Path(self.config.journal_root) / job_id)
-        job = self._new_job(
-            spec, job_id, journal_dir, resume=resume_of is not None,
-            seq=seq,
-            params=params,
-            spec_hash=shash,
-            state="submitted",
+        job = self._new_job(JobRecord(
+            job_id=job_id, seq=seq, kind=kind, params=params, tenant=tenant,
+            priority=priority, jobs=jobs, state="submitted",
+            journal_dir=journal_dir, spec_hash=shash,
             idempotency_key=(
                 str(idempotency_key) if idempotency_key is not None else None
             ),
-            deadline_s=deadline_s,
-            resume_of=resume_of,
-        )
+            deadline_s=deadline_s, resume_of=resume_of,
+        ), resume=resume_of is not None, spec=spec)
         # Admission first, then one write-ahead persist of the queued
         # state: the ack only ever promises "queued", so the transient
         # submitted->queued hop needs no fsync of its own, and a quota
@@ -693,8 +594,7 @@ class JobService:
         if tenant is None:
             raise ValueError("status needs job_id or tenant")
         jobs = [
-            j.status() for j in self.jobs.values()
-            if j.spec.tenant == tenant
+            j.status() for j in self.jobs.values() if j.tenant == tenant
         ]
         return {
             "ok": True,
@@ -810,16 +710,7 @@ class JobService:
         def on_event(ev: ExecutorEvent) -> None:
             self._loop.call_soon_threadsafe(job.events.append, ev)
 
-        # The spool partitions this run adds are the job's events: a
-        # restart reads back exactly these, not a resumed journal's
-        # earlier segments.
-        before = set(_spool_parts(job.journal_dir))
-        try:
-            return JobRunner().run(spec, on_event=on_event)
-        finally:
-            job.spool = [
-                p for p in _spool_parts(job.journal_dir) if p not in before
-            ]
+        return JobRunner().run(spec, on_event=on_event)
 
     def _finish_job(self, job: _Job, future, t0: float) -> None:
         self.queue.mark_finished(job.spec.tenant)
@@ -832,27 +723,30 @@ class JobService:
             self._persist(job)
         else:
             job.result = result
-            if result.deadline_exceeded:
-                job.state = "failed"
-                job.error = (
-                    f"deadline_s={job.deadline_s:g} exceeded; "
-                    "partial journal kept (resume_of continues it)"
-                )
-                self._persist(job)
-            elif result.cancelled and job.draining:
+            drained = (result.cancelled and job.draining
+                       and not result.deadline_exceeded)
+            if drained:
                 # Drain checkpoint: in-memory the job ends cancelled,
-                # but the store keeps it queued so the next boot resumes
-                # its journal bit-identically.
+                # but the store keeps it queued, with no result facts
+                # and no events, so the next boot resumes its journal
+                # bit-identically.
                 job.state = "cancelled"
                 if self.store is not None:
-                    rec = job.record()
-                    rec.state = "queued"
-                    rec.error = None
-                    rec.exit_code = None
-                    rec.cancelled = False
-                    self.store.write(rec, force=True)
+                    self.store.write(JobRecord.from_json(
+                        dict(job.to_json(), state="queued", events=[])
+                    ), force=True)
             else:
-                job.state = "cancelled" if result.cancelled else "done"
+                job.digest = result.digest
+                job.exit_code = result.exit_code
+                job.cancelled = result.cancelled
+                if result.deadline_exceeded:
+                    job.state = "failed"
+                    job.error = (
+                        f"deadline_s={job.deadline_s:g} exceeded; "
+                        "partial journal kept (resume_of continues it)"
+                    )
+                else:
+                    job.state = "cancelled" if result.cancelled else "done"
                 self._persist(job)
                 if (
                     self.store is not None

@@ -81,6 +81,8 @@ class ExperimentKind:
     """One registry entry: spec → config → execution → rendering."""
 
     name: str
+    #: the ``params`` keys :attr:`build_config` reads (any other is an error)
+    params: Tuple[str, ...]
     build_config: Callable[[Mapping], object]
     execute: Callable[[JobSpec, Optional[Callable]], JobOutcome]
     render: Callable[[JobSpec, JobOutcome], List[str]]
@@ -164,6 +166,7 @@ def _scalebench_config(params: Mapping):
         x_values=tuple(
             float(x) for x in params.get("x_values", (0.0, 25.0, 50.0, 75.0, 100.0))
         ),
+        seed=int(params.get("seed", 0)),
         shard_ranks=int(params.get("shard_ranks", 0)),
         node_classes=params.get("node_classes"),
     )
@@ -267,6 +270,8 @@ def _sedov_digest(outcome: JobOutcome) -> str:
 REGISTRY: Dict[str, ExperimentKind] = {
     "sedov": ExperimentKind(
         name="sedov",
+        params=("scales", "policies", "steps", "paper_scale", "profile",
+                "node_classes", "transport_faults"),
         build_config=_sedov_config,
         execute=_sedov_execute,
         render=_sedov_render,
@@ -275,6 +280,8 @@ REGISTRY: Dict[str, ExperimentKind] = {
     ),
     "scalebench": ExperimentKind(
         name="scalebench",
+        params=("scales", "repeats", "distributions", "x_values", "seed",
+                "shard_ranks", "node_classes"),
         build_config=_scalebench_config,
         execute=_scalebench_execute,
         render=_scalebench_render,
@@ -283,6 +290,10 @@ REGISTRY: Dict[str, ExperimentKind] = {
     ),
     "resilience": ExperimentKind(
         name="resilience",
+        params=("ranks", "steps", "policy", "seed", "crash_step",
+                "crash_node", "throttle_step", "throttle_nodes",
+                "throttle_factor", "transport_faults", "checkpoint_interval",
+                "check_determinism", "profile"),
         build_config=_resilience_config,
         execute=_resilience_execute,
         render=_resilience_render,
@@ -301,13 +312,20 @@ def spec_from_params(
     supervise: Optional[SupervisorConfig] = None,
 ) -> JobSpec:
     """Build a :class:`JobSpec` from plain-JSON parameters (the wire
-    path: ``submit`` requests carry ``kind`` + ``params``)."""
+    path: ``submit`` requests carry ``kind`` + ``params``).  A key the
+    kind does not read raises :class:`ValueError`."""
     if kind not in REGISTRY:
         raise ValueError(
             f"unknown experiment kind {kind!r} "
             f"(known: {', '.join(sorted(REGISTRY))})"
         )
     params = dict(params or {})
+    known = REGISTRY[kind].params
+    for key in params:
+        if key not in known:
+            raise ValueError(
+                f"unknown {kind} param {key!r} (known: {', '.join(known)})"
+            )
     config = REGISTRY[kind].build_config(params)
     return JobSpec(
         kind=kind,

@@ -13,7 +13,8 @@ Layout under the store root (the ``repro serve --state DIR`` flag)::
 
     jobs/job-0001.json     one record per job: spec params, tenant,
                            priority, lifecycle state, journal dir,
-                           idempotency key, result digest ...
+                           idempotency key, result digest, and (once
+                           it finished) its executor events ...
     jobs/job-0001.json.torn  a record that failed CRC verification,
                            quarantined at recovery (named evidence,
                            never silently resurrected)
@@ -47,6 +48,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..perf.supervisor import ExecutorEvent
 from ..telemetry.columnar import atomic_write, fsync_dir
 
 __all__ = [
@@ -99,6 +101,8 @@ class JobRecord:
     the spec is *rebuilt* from it at recovery through the same
     :func:`~repro.service.spec.spec_from_params` path a live submit
     uses, so a recovered job can never drift from what was asked.
+    The server's live job is a subclass: it adds in-memory state, and
+    :meth:`to_json` writes only the fields declared here.
     """
 
     job_id: str
@@ -122,17 +126,22 @@ class JobRecord:
     exit_code: Optional[int] = None
     error: Optional[str] = None
     cancelled: bool = False
-    #: journal-relative telemetry partitions the job's last run spooled
-    #: (what a restart reads back as its events)
-    spool: List[str] = dataclasses.field(default_factory=list)
+    #: the job's executor events, stored as the dicts the ``events``
+    #: verb streams (a record written before they were kept has none)
+    events: List[ExecutorEvent] = dataclasses.field(default_factory=list)
 
     def to_json(self) -> Dict:
-        return dataclasses.asdict(self)
+        doc = {f.name: getattr(self, f.name)
+               for f in dataclasses.fields(JobRecord)}
+        doc["events"] = [dataclasses.asdict(e) for e in self.events]
+        return doc
 
     @classmethod
     def from_json(cls, doc: Dict) -> "JobRecord":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in fields})
+        fields = {f.name for f in dataclasses.fields(JobRecord)}
+        rec = cls(**{k: v for k, v in doc.items() if k in fields})
+        rec.events = [ExecutorEvent(**e) for e in rec.events]
+        return rec
 
 
 def _write_checksummed(path: Path, payload: str) -> None:
@@ -243,15 +252,6 @@ class JobStore:
         for r in records:
             self._states[r.job_id] = r.state
         return records, torn
-
-    def max_seq(self) -> int:
-        """Highest seq among committed records (id-counter restoration)."""
-        best = 0
-        for path in self.jobs_dir.glob("job-*.json"):
-            payload = _read_checksummed(path)
-            if payload is not None:
-                best = max(best, int(payload.get("seq", 0)))
-        return best
 
     def flush(self) -> None:
         """fsync the record directory (the drain-shutdown final barrier)."""

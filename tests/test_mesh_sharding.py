@@ -132,6 +132,7 @@ class TestShardedScalebench:
                 "distributions": ["gaussian"],
                 "x_values": [50.0],
                 "shard_ranks": 32,
+                "seed": 12345,
             },
         )
         cfg = spec.config
@@ -139,6 +140,15 @@ class TestShardedScalebench:
         assert cfg.distributions == ("gaussian",)
         assert cfg.x_values == (50.0,)
         assert cfg.shard_ranks == 32
+        assert cfg.seed == 12345
+        # A key the kind does not read is an error naming the key and
+        # the kind's accepted keys, never silently dropped.
+        with pytest.raises(ValueError, match="'stepz'.*steps"):
+            spec_from_params("sedov", {"stepz": 20})
+        with pytest.raises(ValueError, match="'ranks'.*shard_ranks"):
+            spec_from_params("scalebench", {"ranks": 64})
+        with pytest.raises(ValueError, match="'scales'.*checkpoint_interval"):
+            spec_from_params("resilience", {"scales": [512]})
 
     def test_cli_shard_flags_end_to_end(self, capsys):
         from repro.cli import main

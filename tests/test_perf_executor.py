@@ -17,7 +17,7 @@ import pytest
 from repro.bench.scalebench import ScalebenchConfig, run_scalebench
 from repro.bench.sedov_experiment import SedovSweepConfig, run_sedov_sweep
 from repro.engine.types import DriverConfig, RunSummary
-from repro.perf.executor import JOBS_ENV, CellExecutionError, effective_jobs
+from repro.perf.executor import CellExecutionError, effective_jobs
 from repro.perf.supervisor import STRICT, supervised_map
 from repro.resilience.experiment import (
     ResilienceExperimentConfig,
@@ -75,20 +75,10 @@ class TestParallelMap:
         with pytest.raises(ValueError):
             effective_jobs(-2)
 
-    def test_effective_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert effective_jobs(1) == 3
-        assert effective_jobs(8) == 3
-        assert effective_jobs(None) == 3
-        monkeypatch.setenv(JOBS_ENV, "-1")
-        with pytest.raises(ValueError):
-            effective_jobs(1)
-
-    def test_effective_jobs_caps_at_cell_count(self, monkeypatch):
+    def test_effective_jobs_caps_at_cell_count(self):
         assert effective_jobs(8, n_items=3) == 3
         assert effective_jobs(8, n_items=0) == 1
-        monkeypatch.setenv(JOBS_ENV, "16")
-        assert effective_jobs(1, n_items=5) == 5
+        assert effective_jobs(1, n_items=5) == 1
 
 
 class TestCellExecutionError:

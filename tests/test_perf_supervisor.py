@@ -76,7 +76,7 @@ class TestChaosRecovery:
         monkeypatch.setenv(CHAOS_ENV, "crash:2@1")
         report = supervised_map(
             _square, list(range(6)), jobs=jobs,
-            config=SupervisorConfig(retries=2, backoff_base_s=0.01),
+            config=SupervisorConfig(retries=2),
         )
         assert report.results == [x * x for x in range(6)]
         assert report.counters["n_crashes"] == 1
@@ -88,7 +88,7 @@ class TestChaosRecovery:
         monkeypatch.setenv(CHAOS_ENV, "flaky:1@2")
         report = supervised_map(
             _square, list(range(4)), jobs=jobs,
-            config=SupervisorConfig(retries=2, backoff_base_s=0.01),
+            config=SupervisorConfig(retries=2),
         )
         assert report.results == [x * x for x in range(4)]
         assert report.counters["n_errors"] == 2
@@ -99,9 +99,7 @@ class TestChaosRecovery:
         monkeypatch.setenv(CHAOS_ENV, "hang:0@1")
         report = supervised_map(
             _square, list(range(4)), jobs=jobs,
-            config=SupervisorConfig(
-                retries=1, timeout_s=0.4, backoff_base_s=0.01,
-            ),
+            config=SupervisorConfig(retries=1, timeout_s=0.4),
         )
         assert report.results == [x * x for x in range(4)]
         assert report.counters["n_timeouts"] == 1
@@ -113,7 +111,7 @@ class TestChaosRecovery:
         monkeypatch.setenv(CHAOS_ENV, "flaky:3@1")
         report = supervised_map(
             _square, list(range(5)), jobs=1,
-            config=SupervisorConfig(retries=1, backoff_base_s=0.01),
+            config=SupervisorConfig(retries=1),
         )
         assert report.results == [x * x for x in range(5)]
         assert report.counters["n_errors"] == 1
@@ -125,7 +123,7 @@ class TestQuarantine:
         monkeypatch.setenv(CHAOS_ENV, "crash:1")       # every attempt
         report = supervised_map(
             _square, list(range(5)), jobs=jobs,
-            config=SupervisorConfig(retries=1, backoff_base_s=0.01),
+            config=SupervisorConfig(retries=1),
         )
         failure = report.results[1]
         assert isinstance(failure, CellFailure)
@@ -139,9 +137,7 @@ class TestQuarantine:
         monkeypatch.setenv(CHAOS_ENV, "hang:0")
         report = supervised_map(
             _square, list(range(3)), jobs=2,
-            config=SupervisorConfig(
-                retries=1, timeout_s=0.3, backoff_base_s=0.01,
-            ),
+            config=SupervisorConfig(retries=1, timeout_s=0.3),
         )
         failure = report.results[0]
         assert isinstance(failure, CellFailure)
@@ -153,9 +149,7 @@ class TestQuarantine:
         with pytest.raises(CellExecutionError) as exc_info:
             supervised_map(
                 _square, list(range(4)), jobs=2,
-                config=SupervisorConfig(
-                    retries=0, strict=True, backoff_base_s=0.01
-                ),
+                config=SupervisorConfig(retries=0, strict=True),
             )
         assert exc_info.value.index == 2
 
@@ -179,7 +173,7 @@ class TestChaosAcceptance:
         monkeypatch.setenv(CHAOS_ENV, "crash:1;flaky:2@1")
         chaotic = run_sedov_sweep(
             config, jobs=2,
-            supervise=SupervisorConfig(retries=1, backoff_base_s=0.01),
+            supervise=SupervisorConfig(retries=1),
         )
         assert len(chaotic.failures) == 1               # ≤ injected poison
         assert chaotic.failures[0].index == 1
@@ -274,7 +268,7 @@ class TestJournalResume:
         report = supervised_map(
             _square, items, jobs=2,
             config=SupervisorConfig(
-                retries=0, journal_dir=str(tmp_path), backoff_base_s=0.01
+                retries=0, journal_dir=str(tmp_path)
             ),
         )
         assert isinstance(report.results[1], CellFailure)
@@ -391,7 +385,7 @@ class TestTelemetryEvents:
         report = supervised_map(
             _square, list(range(5)), jobs=2,
             config=SupervisorConfig(
-                retries=1, journal_dir=str(tmp_path), backoff_base_s=0.01
+                retries=1, journal_dir=str(tmp_path)
             ),
         )
         assert report.results == [x * x for x in range(5)]
@@ -413,20 +407,18 @@ class TestTelemetryEvents:
         segment's in-memory report table: same columns, dtypes and ids."""
         import dataclasses
 
-        from repro.service import spec_from_params
         from repro.service.server import JobService, ServiceConfig
+        from repro.service.store import JobRecord
         from repro.telemetry.columnar import read_table
         from repro.telemetry.dataset import TelemetryDataset
 
         service = JobService(ServiceConfig(journal_root=str(tmp_path)))
-        job = service._new_job(
-            spec_from_params("sedov", {}), "job-0001",
-            str(tmp_path / "job-0001"), resume=False,
-            seq=1, params={}, spec_hash="",
-        )
-        config = dataclasses.replace(
-            job.spec.supervise, retries=1, backoff_base_s=0.01
-        )
+        job = service._new_job(JobRecord(
+            job_id="job-0001", seq=1, kind="sedov", params={},
+            tenant="default", priority=0, jobs=1, state="submitted",
+            journal_dir=str(tmp_path / "job-0001"), spec_hash="",
+        ), resume=False)
+        config = dataclasses.replace(job.spec.supervise, retries=1)
         monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
         first = supervised_map(_square, list(range(4)), jobs=2, config=config)
         assert first.counters["n_retries"] == 1

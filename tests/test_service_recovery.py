@@ -20,10 +20,12 @@ Acceptance pins from the durable-service PR:
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.perf.supervisor import ExecutorEvent
 from repro.service import JobRunner, spec_from_params
 from repro.service.client import ServiceError
 from repro.service.queue import QuotaConfig
@@ -34,6 +36,7 @@ from repro.service.store import (
     JobRecord,
     JobStore,
     StoreError,
+    _write_checksummed,
     spec_hash,
 )
 
@@ -95,6 +98,25 @@ class TestJobStore:
         store.write(rec)
         back = store.load("job-0001")
         assert back == rec
+        # A finished record carries its executor events, detail included.
+        rec = make_record("job-0002", 2, state="done", events=[
+            ExecutorEvent(0.25, 0, "error", 1, "ValueError: boom"),
+            ExecutorEvent(0.5, 0, "complete", 2),
+        ])
+        store.write(rec)
+        back = store.load("job-0002")
+        assert back == rec
+        assert back.events[0].detail == "ValueError: boom"
+        # A record written before events were kept names its spool
+        # partitions instead; it loads with no events.
+        old = make_record("job-0003", 3, state="done").to_json()
+        del old["events"]
+        old["spool"] = ["sweep-0/telemetry/part-00000.rprc"]
+        _write_checksummed(store._record_path("job-0003"),
+                           json.dumps(old, sort_keys=True))
+        back = store.load("job-0003")
+        assert back == make_record("job-0003", 3, state="done")
+        assert back.events == []
 
     def test_monotonic_transitions_enforced(self, tmp_path):
         store = JobStore(tmp_path)
@@ -342,32 +364,29 @@ class TestRestartRecovery:
         assert before[resumed][0] == (6, 6)
         assert after == before
 
-    def test_unreadable_spool_costs_only_its_job(
+    def test_finished_job_keeps_its_events_without_its_journal(
         self, tmp_path, live_service
     ):
-        """A finished job whose spool cannot be read (its dataset lost
-        its manifest and partition) boots with no events; the server
-        and the other jobs are unaffected."""
+        """A finished job's events live in its store record: with its
+        whole journal directory deleted, a restart still reports the
+        same status counts, event stream and query rows."""
         state = tmp_path / "state"
         svc1 = live_service(state_dir=str(state))
         with svc1.client() as c:
-            jobs = [c.submit("sedov", TINY) for _ in range(2)]
-            for job in jobs:
-                assert c.result(job, timeout_s=300)["state"] == "done"
-            before = observe(c, jobs[1])
+            job = c.submit("sedov", TINY)
+            assert c.result(job, timeout_s=300)["state"] == "done"
+            before = observe(c, job)
         svc1.stop()
-        journal = svc1.service.jobs[jobs[0]].journal_dir
-        for telemetry in Path(journal).glob("sweep-*/telemetry"):
-            for f in telemetry.iterdir():
-                f.unlink()
+        journal = Path(svc1.service.jobs[job].journal_dir)
+        shutil.rmtree(journal)
 
         svc2 = live_service(state_dir=str(state))
         with svc2.client() as c:
-            status = c.status(jobs[0])
-            assert status["state"] == "done"
-            assert (status["cells_done"], status["n_events"]) == (0, 0)
-            assert c.events(jobs[0])["events"] == []
-            assert observe(c, jobs[1]) == before
+            assert c.status(job)["state"] == "done"
+            after = observe(c, job)
+        assert not journal.exists()
+        assert before[0] == (2, 2)
+        assert after == before
 
     def test_recovered_job_cancels_mid_run_and_resumes(
         self, tmp_path, live_service
@@ -439,6 +458,22 @@ class TestRestartRecovery:
             fresh = c.submit("sedov", TINY)
             assert fresh == "job-0003"
             c.result(fresh, timeout_s=300)
+
+    def test_record_with_unread_params_boots(self, tmp_path, live_service):
+        """A record written before submits were checked may hold a
+        params key its kind never read; it still boots, and the key is
+        ignored as it was when the job ran."""
+        state = tmp_path / "state"
+        JobStore(state).write(make_record(
+            "job-0001", 1, params=dict(TINY, stepz=20), state="done",
+            digest="d" * 64, exit_code=0,
+        ))
+        svc = live_service(state_dir=str(state))
+        with svc.client() as c:
+            status = c.status("job-0001")
+            assert (status["state"], status["cells_total"]) == ("done", 2)
+            with pytest.raises(ServiceError, match="stepz"):
+                c.submit("sedov", dict(TINY, stepz=20))
 
 
 # ---------------------------------------------------------------------- #

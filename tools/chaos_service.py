@@ -18,7 +18,10 @@ The scenario (the PR 8 acceptance check, also run by the
    replay, the rest run fresh;
 5. assert the recovered job's digest is byte-identical to the
    uninterrupted reference, and that resubmitting with the same
-   idempotency key returns the *same* job id (never a twin).
+   idempotency key returns the *same* job id (never a twin);
+6. shut the server down cleanly and boot it a third time: the finished
+   job's ``status`` counts and its per-kind event ``query`` must equal
+   server #2's (its events are read back from the job store).
 
 Exit code 0 on success; non-zero with a diagnostic on any mismatch.
 """
@@ -42,6 +45,7 @@ PARAMS = {"scales": [512], "steps": 40,
                        "cplx:75", "cplx:100"]}
 KIND = "sedov"
 IDEMPOTENCY_KEY = "chaos-sedov-1"
+EVENTS_SQL = "SELECT kind, count(cell) FROM events GROUP BY kind"
 
 _LISTEN_RE = re.compile(r"repro service listening on ([\d.]+):(\d+)")
 
@@ -117,6 +121,14 @@ def wait_first_cell(client, job_id: str, timeout_s: float = 120) -> None:
     raise RuntimeError("job never completed a first cell")
 
 
+def finished_view(client, job_id: str):
+    """A finished job's status counts and per-kind event counts."""
+    status = client.status(job_id)
+    reply = client.query(job_id, EVENTS_SQL)
+    return ((status["cells_done"], status["n_events"]),
+            reply["columns"])
+
+
 def run_chaos(workdir: Path, verbose: bool = True) -> None:
     state = workdir / "state"
     journals = workdir / "journals"
@@ -175,12 +187,34 @@ def run_chaos(workdir: Path, verbose: bool = True) -> None:
         resumed = result["counters"].get("n_resume_hits", 0)
         log(f"recovered digest matches ({resumed} cell(s) replayed "
             f"from the journal)")
+        view = finished_view(client, job_id)
+        if view[0][0] < len(PARAMS["policies"]):
+            raise SystemExit(f"FAIL: recovered job's status counts {view}")
         client.shutdown()
+        proc2.wait(timeout=60)
     finally:
         if proc2.poll() is None:
             proc2.terminate()
         proc2.wait()
-    log("PASS: recovered digest byte-identical to uninterrupted run")
+
+    proc3, port3 = start_server(state, journals, port=port)
+    log(f"server #3 up on :{port3} (pid {proc3.pid}), clean restart ...")
+    try:
+        client = connect(port3)
+        after = finished_view(client, job_id)
+        if after != view:
+            raise SystemExit(
+                f"FAIL: finished job changed across a clean restart:\n"
+                f"  server #2 {view}\n  server #3 {after}"
+            )
+        log(f"status {view[0]} and event counts survive the restart")
+        client.shutdown()
+    finally:
+        if proc3.poll() is None:
+            proc3.terminate()
+        proc3.wait()
+    log("PASS: recovered digest byte-identical to uninterrupted run; "
+        "events survive a restart")
 
 
 def main() -> int:
