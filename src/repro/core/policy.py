@@ -27,6 +27,7 @@ import abc
 import dataclasses
 import functools
 import inspect
+import threading
 import time
 from typing import Callable, Dict, Iterator, Optional
 
@@ -46,6 +47,36 @@ __all__ = [
     "validate_assignment",
 ]
 
+#: Per-thread running total of solve seconds replayed from memos; see
+#: :func:`charge_replayed_solve`.
+_REPLAYED = threading.local()
+
+
+def _replayed_s() -> float:
+    return getattr(_REPLAYED, "s", 0.0)
+
+
+def placement_clock() -> float:
+    """The one clock placement time is read from (``time.perf_counter``).
+
+    :meth:`PlacementPolicy.place` and the recorded solve times of the
+    chunked-CDP split memo both read it, so a replayed solve is charged
+    in the same units as the call that replays it.
+    """
+    return time.perf_counter()
+
+
+def charge_replayed_solve(seconds: float) -> None:
+    """Charge a memo hit's recorded solve time to the placing thread.
+
+    A memo that returns a stored result instead of solving again calls
+    this with the seconds the cold solve took; :meth:`PlacementPolicy.place`
+    adds every such charge made during its ``compute`` to
+    :attr:`PlacementResult.elapsed_s`, so a reported placement time is
+    what the cold computation costs whether or not a memo answered.
+    """
+    _REPLAYED.s = _replayed_s() + seconds
+
 
 @dataclasses.dataclass(frozen=True)
 class PlacementResult:
@@ -59,7 +90,9 @@ class PlacementResult:
         Name of the policy that produced it.
     elapsed_s:
         Wall-clock placement computation time (the quantity Fig. 7c
-        reports and the 50 ms budget constrains).
+        reports and the 50 ms budget constrains).  It is the cost of a
+        cold computation: a step answered from a memo (the chunked-CDP
+        split memo) is charged the seconds its recorded solve took.
     """
 
     assignment: np.ndarray
@@ -130,6 +163,10 @@ class PlacementPolicy(abc.ABC):
     ) -> PlacementResult:
         """Validated, timed placement computation.
 
+        The one placement timer: the guard's budget, budget reports and
+        Fig. 7c all read the returned ``elapsed_s``, which includes the
+        recorded solve time of every memo hit inside ``compute``.
+
         ``n_ranks`` may be omitted when ``ctx`` is given (it is then
         ``ctx.n_ranks``); passing both requires them to agree.
         """
@@ -151,9 +188,10 @@ class PlacementPolicy(abc.ABC):
             raise ValueError("either n_ranks or ctx must be provided")
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-        t0 = time.perf_counter()
+        replayed0 = _replayed_s()
+        t0 = placement_clock()
         assignment = self.compute(costs, n_ranks, ctx=ctx)
-        elapsed = time.perf_counter() - t0
+        elapsed = placement_clock() - t0 + (_replayed_s() - replayed0)
         validate_assignment(assignment, costs.shape[0], n_ranks)
         return PlacementResult(
             assignment=np.asarray(assignment, dtype=np.int64),

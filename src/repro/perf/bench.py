@@ -208,15 +208,24 @@ def _bench_policies(
     from ..bench.distributions import make_costs
     from ..core.policy import get_policy
 
+    repeats = params["policy_repeats"]
     for n_ranks in params["policy_ranks"]:
         n_blocks = int(n_ranks * BLOCKS_PER_RANK)
-        costs = make_costs("exponential", n_blocks, seed=1234 + n_ranks)
-        for name in POLICY_ARMS:
+        for arm, name in enumerate(POLICY_ARMS):
+            # One cost seed per call (warm-up included) and per arm: a call
+            # on costs placed before would time a split memo hit, not the DP.
+            draws = iter([
+                make_costs(
+                    "exponential", n_blocks,
+                    seed=1234 + n_ranks + 7919 * (arm * (repeats + 1) + i),
+                )
+                for i in range(repeats + 1)
+            ])
             policy = get_policy(name)
             key = name.replace(":", "")
             metric = f"policy.{key}.r{n_ranks}"
             metrics[metric] = _time_case(
-                lambda: policy.place(costs, n_ranks), params["policy_repeats"]
+                lambda: policy.place(next(draws), n_ranks), repeats
             )
             log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
 

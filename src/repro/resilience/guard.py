@@ -24,13 +24,12 @@ arm.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.context import PlacementContext
-from ..core.policy import PlacementPolicy, get_policy, validate_assignment
+from ..core.policy import PlacementPolicy, get_policy
 
 __all__ = ["GuardEvent", "GuardedPolicy", "DEFAULT_CHAIN"]
 
@@ -110,7 +109,6 @@ class GuardedPolicy(PlacementPolicy):
         n_ranks: int,
         ctx: Optional[PlacementContext] = None,
     ) -> np.ndarray:
-        n_blocks = costs.shape[0]
         first = True
         for ti in range(self._start_tier, len(self.chain)):
             tier = self.chain[ti]
@@ -123,10 +121,8 @@ class GuardedPolicy(PlacementPolicy):
                     self.simulated_backoff_s += self.retry_backoff_s * (
                         2.0 ** (attempt - 1)
                     )
-                t0 = time.perf_counter()
                 try:
-                    out = tier.compute(costs, n_ranks, ctx=ctx)
-                    validate_assignment(out, n_blocks, n_ranks)
+                    result = tier.place(costs, n_ranks, ctx=ctx)
                 except ValueError as exc:
                     # Either the tier raised on its inputs or returned a
                     # malformed assignment: containment, not a crash.
@@ -135,7 +131,7 @@ class GuardedPolicy(PlacementPolicy):
                 except Exception as exc:  # noqa: BLE001 — containment boundary
                     self.events.append(GuardEvent(tier.name, "error", repr(exc)))
                     continue
-                elapsed = time.perf_counter() - t0
+                elapsed = result.elapsed_s
                 if elapsed > self.budget_s and not last_tier:
                     self._breaches[ti] += 1
                     self.events.append(
@@ -155,7 +151,7 @@ class GuardedPolicy(PlacementPolicy):
                         )
                     break  # budget fallback: no point retrying the same tier
                 self.last_tier = tier.name
-                return out
+                return result.assignment
         raise RuntimeError(
             "every tier of the guard chain failed; chain="
             f"{[t.name for t in self.chain]}"
