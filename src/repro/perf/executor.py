@@ -23,27 +23,25 @@ Without requested supervision it uses the
 :data:`~repro.perf.supervisor.STRICT` config: no retries, and a cell
 exception or worker death raises :class:`CellExecutionError` naming the
 failing cell.  ``jobs <= 1`` runs in-process (no pool, no pickle
-round-trip), which is the default everywhere.
+round-trip), which is the default everywhere.  The pool's fault-free
+cost is pinned by counted work in ``tests/test_perf_supervisor.py``:
+one worker built per job slot, one assignment and one ``complete``
+event per cell.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Optional
 
 __all__ = ["CellExecutionError", "effective_jobs"]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 class CellExecutionError(RuntimeError):
     """A sweep cell failed; carries *which* cell and why.
 
-    The bare pool used to propagate the worker exception with no
-    indication of the failing cell; this wraps it with the cell index
-    and the item's repr so a multi-hour sweep failure is diagnosable.
+    It wraps the cell's error with the cell index and the item's repr,
+    so a multi-hour sweep failure is diagnosable.
     """
 
     def __init__(self, index: int, item: object, cause: str) -> None:
@@ -72,17 +70,3 @@ def effective_jobs(jobs: Optional[int], n_items: Optional[int] = None) -> int:
         n = min(n, max(n_items, 1))
     return max(n, 1)
 
-
-def _bare_pool_map(
-    fn: Callable[[T], R], items: Sequence[T], jobs: int
-) -> List[R]:
-    """The pre-supervisor bare ``ProcessPoolExecutor`` path.
-
-    Kept (unsupervised, abort-on-first-failure) as the reference
-    implementation the ``executor_overhead`` bench kernel compares the
-    supervised pool against.
-    """
-    cells = list(items)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        futures = [pool.submit(fn, it) for it in cells]
-        return [f.result() for f in futures]

@@ -19,8 +19,10 @@ from repro.perf.bench import (
 )
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def smoke_result():
+    """The one smoke run of the session; tests that gate or print it
+    work on this document or on synthetic copies of it."""
     return run_bench(profile="smoke")
 
 
@@ -49,6 +51,11 @@ class TestRunBench:
             assert m["median_s"] > 0 and m["repeats"] >= 1
             assert m["min_s"] <= m["median_s"]
         assert not any(n.startswith("epoch.") for n in smoke_result["derived"])
+        # Kernel tripwires only: whole sweeps, pools and service submits
+        # are measured end to end by perfbench, not here.
+        assert {n.split(".")[0] for n in metrics} == {
+            "policy", "hetero", "mesh", "scalebench", "epoch", "telemetry",
+        }
 
     def test_telemetry_query_metrics(self, smoke_result):
         metrics = smoke_result["metrics"]
@@ -63,24 +70,6 @@ class TestRunBench:
         # skipping pays (>= 2x) is a DERIVED_BOUNDS gate of compare_bench.
         assert derived["telemetry.partitions_pruned_frac"] > 0.5
         assert "telemetry.pruning_speedup" in derived
-
-    def test_executor_overhead_gate(self, smoke_result):
-        metrics = smoke_result["metrics"]
-        names = {n.rsplit(".c", 1)[0] for n in metrics if n.startswith("executor.")}
-        assert names == {"executor.bare_pool", "executor.supervised"}
-        # The <= 5% supervision overhead bar is a DERIVED_BOUNDS gate.
-        assert "executor.overhead_ratio" in smoke_result["derived"]
-
-    def test_jobstore_overhead_gate(self, smoke_result):
-        metrics = smoke_result["metrics"]
-        names = {
-            n.rsplit(".s", 1)[0]
-            for n in metrics
-            if n.startswith("service.submit")
-        }
-        assert names == {"service.submit_inmem", "service.submit_jobstore"}
-        # The <= 10% JobStore overhead bar is a DERIVED_BOUNDS gate.
-        assert "service.jobstore_overhead_ratio" in smoke_result["derived"]
 
     def test_mesh_remesh_kernel_present(self, smoke_result):
         metrics = smoke_result["metrics"]
@@ -104,12 +93,6 @@ class TestRunBench:
         for profile in PROFILES.values():
             assert profile["hetero"]["ranks"], "hetero knob must name rank cells"
             assert profile["hetero"]["repeats"] >= 1
-
-    def test_profiles_cover_sweep_only_beyond_smoke(self):
-        assert PROFILES["smoke"]["sweep"] is None
-        assert PROFILES["quick"]["sweep"] is not None
-        for profile in PROFILES.values():
-            assert profile["executor"]["cells"] >= profile["executor"]["jobs"]
 
     def test_section_registry_is_the_single_source(self):
         import inspect
@@ -171,18 +154,12 @@ class TestDerivedBounds:
         return {"metrics": {}, "derived": derived}
 
     def test_bound_values(self):
-        assert DERIVED_BOUNDS == {
-            "executor.overhead_ratio": ("<=", 1.05),
-            "service.jobstore_overhead_ratio": ("<=", 1.10),
-            "telemetry.pruning_speedup": (">=", 2.0),
-        }
+        assert DERIVED_BOUNDS == {"telemetry.pruning_speedup": (">=", 2.0)}
 
     def test_values_on_the_bounds_pass(self):
         assert compare_bench(self.doc(), self.doc(), tolerance=0.0) == []
 
     @pytest.mark.parametrize("name,value", [
-        ("executor.overhead_ratio", 1.06),
-        ("service.jobstore_overhead_ratio", 1.11),
         ("telemetry.pruning_speedup", 1.99),
     ])
     def test_each_broken_bound_is_flagged(self, name, value):
@@ -195,16 +172,28 @@ class TestDerivedBounds:
 
 @pytest.mark.usefixtures("medians_only")
 class TestCliBench:
-    def test_smoke_run_writes_json_and_gates(self, tmp_path, capsys):
+    def test_smoke_run_writes_json_and_gates(
+        self, smoke_result, tmp_path, capsys, monkeypatch
+    ):
+        # The CLI's exit codes are decided by compare_bench on the run's
+        # document, so the session's smoke run stands in for a fresh one.
+        profiles = []
+
+        def fake_run(profile, verbose):
+            profiles.append(profile)
+            return copy.deepcopy(smoke_result)
+
+        monkeypatch.setattr(bench, "run_bench", fake_run)
         out = tmp_path / "BENCH_core.json"
         assert main(["bench", "--profile", "smoke", "--output", str(out)]) == 0
         doc = load_bench(out)
-        assert doc["meta"]["profile"] == "smoke"
-        # Gating against itself with zero tolerance passes ...
+        assert doc == json.loads(json.dumps(smoke_result))
+        # Gating against itself passes ...
         assert main([
             "bench", "--profile", "smoke", "--output", str(out),
-            "--baseline", str(out), "--tolerance", "1.0",
+            "--baseline", str(out), "--tolerance", "0.0",
         ]) == 0
+        assert "no regressions" in capsys.readouterr().out
         # ... and an impossible baseline fails with exit code 1.
         doc["metrics"] = {
             k: {**v, "median_s": v["median_s"] / 1e6}
@@ -217,3 +206,4 @@ class TestCliBench:
             "--baseline", str(tight), "--tolerance", "0.5",
         ]) == 1
         assert "PERF REGRESSIONS" in capsys.readouterr().out
+        assert profiles == ["smoke"] * 3

@@ -25,8 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.hooks import CancellationHook
 from repro.perf.supervisor import ExecutorEvent
 from repro.service import JobRunner, spec_from_params
+from repro.service import store as store_module
 from repro.service.client import ServiceError
 from repro.service.queue import QuotaConfig
 from repro.service.recovery import POISON_ERROR_PREFIX, recover_jobs
@@ -172,6 +174,28 @@ class TestJobStore:
         assert not fresh.is_poisoned(shash, threshold=3)
         fresh.clear_poison(shash)
         assert JobStore(tmp_path).crash_count(shash) == 0
+
+    def test_one_job_writes_one_record_per_transition(
+        self, tmp_path, live_service, monkeypatch
+    ):
+        """The durable store's price per job, pinned by counted work:
+        one fsync'd record per lifecycle transition (queued, running,
+        done) and no other write on the submit-to-done path."""
+        writes = []
+        real_write = store_module._write_checksummed
+
+        def counting_write(path, payload):
+            writes.append((Path(path).name, json.loads(payload).get("state")))
+            real_write(path, payload)
+
+        monkeypatch.setattr(store_module, "_write_checksummed", counting_write)
+        svc = live_service(state_dir=str(tmp_path / "state"))
+        with svc.client() as c:
+            job = c.submit("sedov", TINY)
+            assert c.result(job, timeout_s=300)["state"] == "done"
+        assert writes == [
+            (f"{job}.json", state) for state in ("queued", "running", "done")
+        ]
 
     def test_state_order_is_monotonic_lattice(self):
         assert STATE_ORDER["submitted"] < STATE_ORDER["queued"]
@@ -524,18 +548,36 @@ class TestPoisonBreaker:
 
 class TestDeadlines:
     def test_deadline_fails_job_with_resumable_journal(
-        self, tmp_path, live_service
+        self, tmp_path, live_service, monkeypatch
     ):
+        # The deadline expires at a fixed point, not in a race with the
+        # host: a process whose caches are warm finished this job inside
+        # a 0.25 s wall-clock deadline.  The submit's deadline_s still
+        # has to reach each cell's CancellationHook; the second cell's
+        # hook then finds it expired at its first epoch boundary, so one
+        # cell is journaled and the rest are left for resume_of.
+        runs = []
+        real_epoch_end = CancellationHook.on_epoch_end
+
+        def expiring_epoch_end(self, ctx, epoch):
+            if self.deadline_ts is not None:
+                if self not in runs:
+                    runs.append(self)
+                if len(runs) == 2:
+                    self.deadline_ts = 0.0
+            real_epoch_end(self, ctx, epoch)
+
+        monkeypatch.setattr(CancellationHook, "on_epoch_end", expiring_epoch_end)
         svc = live_service()
         with svc.client() as c:
-            job = c.submit("sedov", WIDE, deadline_s=0.25)
+            job = c.submit("sedov", WIDE, deadline_s=300)
             reply = c.result(job, timeout_s=300)
             assert reply["state"] == "failed"
             assert "deadline" in reply["error"]
             assert reply["result"]["deadline_exceeded"] is True
             assert reply["result"]["exit_code"] == 124
             status = c.status(job)
-            assert status["cells_done"] < status["cells_total"]
+            assert status["cells_done"] == 1 < status["cells_total"]
             # The journal survives: resume_of completes bit-identically
             # with no deadline this time.
             resumed = c.submit("sedov", WIDE, resume_of=job)
