@@ -3,7 +3,12 @@
 
 PYTHON ?= python
 BENCH_PROFILE ?= smoke
-BENCH_TOLERANCE ?= 2.0
+# Gate at 2.5x the baseline: on the machine that recorded it, best-of-pass
+# smoke medians repeat within about 1.2x (up to 2.1x when the whole run
+# falls in one of the host's slow phases), and a CDP kernel whose DP is
+# made 3x slower reads 2.75-3x.  CI runners differ from that machine,
+# so CI allows 3x.
+BENCH_TOLERANCE ?= 1.5
 BASELINE := benchmarks/BENCH_baseline.json
 
 .PHONY: test bench bench-check bench-baseline lint

@@ -12,10 +12,10 @@ Three solvers are provided:
   ``O(n·r)``-bounded DP (actually ``O(r · (n mod r))``) that is optimal
   *within the explored chunk sizes*.  It is the one-zone call of
   :func:`cdp_restricted_zones`, which solves many independent zones
-  (chunked CDP's) in one vectorized row loop: one row per rank of the
-  largest zone, four ufunc calls per row over a ``(zones, e + 1)``
-  state, then a scalar backtrack of one step per rank, so the ufunc
-  count no longer grows with the zone count.
+  (chunked CDP's) in one vectorized row loop per floor size: one row
+  per rank of the largest zone, four ufunc calls per row over a
+  ``(zones, e + 1)`` state, then a scalar backtrack of one step per
+  rank, so the ufunc count does not grow with the zone count.
 * :func:`cdp_full` — the unrestricted ``O(n^2 r)`` DP; exact but too slow
   for large meshes.  Kept for the ablation of the restriction.
 * :func:`cdp_optimal_makespan` — exact optimal contiguous makespan via
@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .baseline import assignment_from_counts
 from .context import PlacementContext
@@ -70,7 +69,8 @@ def cdp_restricted(costs: np.ndarray, n_ranks: int) -> np.ndarray:
 def cdp_restricted_zones(
     costs: np.ndarray, zones: Sequence[Tuple[int, int, int, int]]
 ) -> np.ndarray:
-    """Restricted CDP solved independently on every zone, in one row loop.
+    """Restricted CDP solved independently on every zone, in one row loop
+    per floor size.
 
     ``zones`` are ``(block_lo, block_hi, rank_lo, rank_hi)`` half-open
     ranges with contiguous, ascending rank ranges (the output of
@@ -83,21 +83,27 @@ def cdp_restricted_zones(
     ``e == 0`` leaves one legal split.  Otherwise the DP state after
     ``k`` ranks is ``j``, the number of ceil segments used so far, so
     rank ``k`` starts at block ``k*f + j`` and the state vector has
-    ``e + 1`` entries.  All such zones advance together in a
+    ``e + 1`` entries.  Zones of one ``f`` advance together in a
     ``(zones, max e + 1)`` state, right-aligned so that every zone ends
     on the last row: a zone with fewer ranks starts later, and its
     leading rows carry a floor segment of ``-inf`` and a ceil segment of
-    ``+inf``, which leave its state unchanged.  Each row costs four
-    ufunc calls (floor candidate, ceil candidate, the strict
-    ``ceil < floor`` choice, and their minimum as the new state, which
-    is the ceil candidate exactly where the choice took it), so the
-    ufunc count is ``O(max r)`` however many zones run; the arithmetic
-    is ``O(zones * max r * max e)``.  The choices are then walked back
-    one zone at a time with Python ints, ``r`` table reads per zone of
-    ``r`` ranks (``O(total ranks)`` scalar steps; fancy indexing over
-    a handful of zones per row cost more).
-    Zones are batched so that no batch's tables outgrow
-    :data:`_BATCH_BYTES` (a zone too large on its own runs alone).
+    ``+inf``, which leave its state unchanged.  Segment costs are
+    differences of each zone's prefix sum ``p``, ``p[k + f] - p[k]``
+    (floor) and ``p[k + f + 1] - p[k]`` (ceil), computed once into a
+    row of two buffers; row ``t`` reads a view of columns ``t*f``
+    onwards, or a masked copy while some zone has not started.  Each
+    row costs four ufunc calls (floor candidate, ceil candidate, the
+    strict ``ceil < floor`` choice, and their minimum as the new state,
+    which is the ceil candidate exactly where the choice took it), so
+    the ufunc count is ``O(max r)`` per floor size however many zones
+    run; the arithmetic is ``O(zones * max r * max e)``.  The choices
+    are then walked back one zone at a time with Python ints, ``r``
+    table reads per zone of ``r`` ranks (``O(total ranks)`` scalar
+    steps; fancy indexing over a handful of zones per row cost more).
+    Zones are grouped by ``f`` (one window stride per batch) and
+    batched so that no batch's choice table and difference buffers
+    outgrow :data:`_BATCH_BYTES` (a zone too large on its own runs
+    alone).
 
     No feasibility mask is applied: every predecessor of a state that can
     still reach ``j = e`` can too, and states with ``j > k`` stay
@@ -105,36 +111,38 @@ def cdp_restricted_zones(
     DP.  Columns past a zone's own ``e`` are never read back.
     """
     parts = []
-    solve = []  # (part index, block_lo, n, r, f, e) of zones that need the DP
+    solve = {}  # f -> (part index, block_lo, n, r, f, e) of zones that need the DP
     for a, b, lo, hi in zones:
         r = hi - lo
         f, e = divmod(b - a, r)
         if e:
-            solve.append((len(parts), a, b - a, r, f, e))
+            solve.setdefault(f, []).append((len(parts), a, b - a, r, f, e))
         parts.append(np.full(r, f, dtype=np.int64))
-    for batch in _batches(solve):
-        for (i, *_), counts in zip(batch, _restricted_dp(costs, batch)):
-            parts[i] = counts
+    for group in solve.values():
+        for batch in _batches(group):
+            for (i, *_), counts in zip(batch, _restricted_dp(costs, batch)):
+                parts[i] = counts
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-#: rows of segment table built at a time (bounds the float tables' memory)
-_TABLE_ROWS = 64
-#: memory bound of one batch of zones: choice table plus segment tables
+#: memory bound of one batch of zones: choice table plus difference buffers
 _BATCH_BYTES = 16 << 20
 
 
-def _batches(zones: list):
-    """Split DP zones, in order, into batches within :data:`_BATCH_BYTES`.
+def _table_bytes(n_z: int, rows: int, width: int, f: int) -> int:
+    """Bytes of a batch's tables: one byte per row and state of choice
+    table, plus floor and ceil difference buffers of ``(rows - 1) * f +
+    width`` floats per zone (one fewer for ceil)."""
+    return n_z * (rows * width + 8 * (2 * ((rows - 1) * f + width) - 1))
 
-    A batch of ``z`` zones runs ``max r`` rows over ``z * (max e + 1)``
-    states: one byte per state and row of choice table, plus two float
-    segment tables of :data:`_TABLE_ROWS` rows.
-    """
+
+def _batches(zones: list):
+    """Split DP zones of one floor size, in order, into batches whose
+    :func:`_table_bytes` stay within :data:`_BATCH_BYTES`."""
     batch, rows, width = [], 0, 0
     for zone in zones:
         r, w = max(rows, zone[3]), max(width, zone[5] + 1)
-        if batch and (r + 16 * _TABLE_ROWS) * w * (len(batch) + 1) > _BATCH_BYTES:
+        if batch and _table_bytes(len(batch) + 1, r, w, zone[4]) > _BATCH_BYTES:
             yield batch
             batch, r, w = [], zone[3], zone[5] + 1
         batch.append(zone)
@@ -144,26 +152,32 @@ def _batches(zones: list):
 
 
 def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
-    """Counts of each ``(_, block_lo, n, r, f, e)`` zone with ``e > 0``."""
+    """Counts of each ``(_, block_lo, n, r, f, e)`` zone with ``e > 0``,
+    all zones of one floor size ``f``."""
     n_z = len(zones)
     ranks = [z[3] for z in zones]
-    rows, width = max(ranks), max(z[5] for z in zones) + 1
-    # Per zone, rank-by-state views over its own prefix sum (slicing a
-    # global one rounds differently): segment start, floor end, ceil end.
-    # The prefix tail is padded with its last value so that the columns
-    # past the zone's own e stay finite.
-    views = []
-    for _, a, n, r, f, _e in zones:
-        p = np.empty(r * f + width, dtype=np.float64)
+    rows, width, f = max(ranks), max(z[5] for z in zones) + 1, zones[0][4]
+    # seg_f[z, t*f + j] / seg_c[z, t*f + j]: floor segment of row t from
+    # state j, ceil segment of row t from state j into j + 1.  A zone's
+    # rank k is row t = rows - r + k, so its differences start at column
+    # (rows - r)*f.  Each zone keeps its own prefix sum (slicing a global
+    # one rounds differently), padded with its last value so that the
+    # columns past the zone's own e stay finite.
+    size = (rows - 1) * f + width
+    seg_f = np.empty((n_z, size))
+    seg_c = np.empty((n_z, size - 1))
+    for z, (_, a, n, r, _f, _e) in enumerate(zones):
+        m = (r - 1) * f + width
+        p = np.empty(m + f, dtype=np.float64)
         p[0] = 0.0
         np.cumsum(costs[a:a + n], dtype=np.float64, out=p[1:n + 1])
         p[n + 1:] = p[n]
-        strides = (f * p.strides[0], p.strides[0])
-        views.append((
-            as_strided(p, (r, width), strides),
-            as_strided(p[f:], (r, width), strides),
-            as_strided(p[f + 1:], (r, width - 1), strides),
-        ))
+        np.subtract(p[f:], p[:m], out=seg_f[z, size - m:])
+        np.subtract(p[f + 1:], p[:m - 1], out=seg_c[z, size - m:])
+    # Rows before a zone's first rank read padding instead: a floor
+    # segment of -inf and a ceil segment of +inf, in a masked copy.
+    first = np.array([rows - r for r in ranks])[:, None]
+    lead = rows - min(ranks)
 
     dp = np.full((n_z, width), np.inf)
     dp[:, 0] = 0.0
@@ -173,33 +187,25 @@ def _restricted_dp(costs: np.ndarray, zones: list) -> List[np.ndarray]:
     # both state buffers, which swap each row) and the ones it enters.
     dp_head, cand_f_head, cand_c_tail = dp[:, :-1], cand_f[:, :-1], cand_c[:, 1:]
     choice = np.empty((rows, n_z, width), dtype=bool)
-    seg_f = np.empty((min(rows, _TABLE_ROWS), n_z, width))
-    seg_c = np.empty((min(rows, _TABLE_ROWS), n_z, width - 1))
-    for t0 in range(0, rows, _TABLE_ROWS):
-        h = min(_TABLE_ROWS, rows - t0)
-        # seg_f[t, z, j] / seg_c[t, z, j]: floor segment of rank t from
-        # state j, ceil segment of rank t from state j into j + 1.
-        for z, (start, end_f, end_c) in enumerate(views):
-            u = t0 - (rows - ranks[z])  # zone-local rank of row t0
-            pad = min(max(-u, 0), h)  # rows before the zone's first rank
-            seg_f[:pad, z] = -np.inf
-            seg_c[:pad, z] = np.inf
-            u0, u1 = u + pad, u + h
-            np.subtract(end_f[u0:u1], start[u0:u1], out=seg_f[pad:h, z])
-            np.subtract(end_c[u0:u1], start[u0:u1, :-1], out=seg_c[pad:h, z])
-        for took_ceil, sf, sc in zip(choice[t0:t0 + h], seg_f, seg_c):
-            np.maximum(dp, sf, out=cand_f)
-            np.maximum(dp_head, sc, out=cand_c_tail)
-            np.less(cand_c, cand_f, out=took_ceil)
-            np.minimum(cand_f, cand_c, out=cand_f)
-            dp, cand_f = cand_f, dp
-            dp_head, cand_f_head = cand_f_head, dp_head
+    for t, took_ceil in enumerate(choice):
+        o = t * f
+        sf, sc = seg_f[:, o:o + width], seg_c[:, o:o + width - 1]
+        if t < lead:
+            idle = first > t
+            sf = np.where(idle, -np.inf, sf)
+            sc = np.where(idle, np.inf, sc)
+        np.maximum(dp, sf, out=cand_f)
+        np.maximum(dp_head, sc, out=cand_c_tail)
+        np.less(cand_c, cand_f, out=took_ceil)
+        np.minimum(cand_f, cand_c, out=cand_f)
+        dp, cand_f = cand_f, dp
+        dp_head, cand_f_head = cand_f_head, dp_head
 
     # Backtrack each zone alone, in Python ints, from its final state
     # j = e; a zone of r ranks owns the last r rows of the table.
     item = choice.item
     out = []
-    for z, (_, _a, _n, r, f, e) in enumerate(zones):
+    for z, (_, _a, _n, r, _f, e) in enumerate(zones):
         off, j = rows - r, e
         counts = [0] * r
         for t in range(r - 1, -1, -1):

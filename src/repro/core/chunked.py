@@ -14,11 +14,14 @@ The chunks' DPs are independent, so :func:`chunked_cdp_counts` runs them
 together rather than one after another: a single
 :func:`~repro.core.cdp.cdp_restricted_zones` call whose row loop has one
 row per rank of the largest chunk (``ranks_per_chunk``, give or take
-the apportionment) whatever the number of chunks.  Work is
-``O(r · e_max)`` arithmetic for ``r`` ranks, with ``e_max`` the largest
-per-chunk ``n mod r``, ``O(ranks_per_chunk)`` ufunc calls, and a scalar
-backtrack of ``O(r)`` steps; every chunk's counts equal a lone
-:func:`~repro.core.cdp.cdp_restricted` call on it.
+the apportionment) whatever the number of chunks, once per floor size
+``n // r`` among the chunks (one on every scalebench distribution).
+Each row reads its segment costs as a view of differences computed
+once per chunk.  Work is ``O(r · e_max)`` arithmetic for ``r`` ranks,
+with ``e_max`` the largest per-chunk ``n mod r``, ``O(ranks_per_chunk)``
+ufunc calls per floor size, and a scalar backtrack of ``O(r)`` steps;
+every chunk's counts equal a lone :func:`~repro.core.cdp.cdp_restricted`
+call on it.
 
 The split depends only on the costs, ``n_ranks`` and
 ``ranks_per_chunk`` -- not on CPLX's ``X`` -- and the paper's

@@ -58,7 +58,9 @@ def select_rebalance_ranks(
     order, with the extra rank (odd selections) going to the overloaded
     side — the side that motivates the rebalance.
 
-    Ties in load break toward lower rank IDs for determinism.
+    Ties in load break toward lower rank IDs for determinism.  Returns
+    the IDs ascending; the two sides are disjoint (``k <= r``), so a
+    plain sort orders them.
     """
     r = int(loads.shape[0])
     k = rebalance_count(r, x_percent)
@@ -70,7 +72,7 @@ def select_rebalance_ranks(
     n_bot = k // 2
     top = order[:n_top]
     bot = order[r - n_bot:] if n_bot else np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate([top, bot])).astype(np.int64)
+    return np.sort(np.concatenate([top, bot])).astype(np.int64, copy=False)
 
 
 def repool(

@@ -31,10 +31,13 @@ end and per layer, and the fixed costs of supervision and of the
 durable JobStore are pinned by counted work in the test suite (workers
 built and cells assigned per fault-free sweep; record writes per job).
 
-Medians over several repeats (after a warmup) keep single-shot noise
-out of the gate; wall-clock metrics are still machine-dependent, so
-cross-machine comparisons need a generous tolerance while the derived
-ratios travel well.
+A small shared host runs in phases about 2x apart, each up to a few
+seconds long, so each sample averages calls over a fixed wall budget
+(:data:`SAMPLE_S`) and each kernel keeps its fastest of the profile's
+``passes`` over all sections; smoke runs then repeat within about
+1.15x on a 2-vCPU VM.  Wall-clock metrics are still machine-dependent,
+so cross-machine comparisons need a generous tolerance while the
+derived ratios (medians over passes) travel well.
 """
 
 from __future__ import annotations
@@ -69,22 +72,25 @@ DERIVED_BOUNDS: Dict[str, Tuple[str, float]] = {
 
 #: Size knobs per profile.  ``smoke`` is for CI smoke jobs and tests
 #: (seconds); ``quick`` is the default local profile (a couple of
-#: minutes); ``full`` approaches paper-scale placement sizes.
+#: minutes); ``full`` approaches paper-scale placement sizes.  The
+#: ``*repeats`` knobs count each kernel's samples per pass.
 PROFILES: Dict[str, Dict] = {
     "smoke": {
-        "policy_ranks": (256,),
-        "policy_repeats": 3,
-        "hetero": {"ranks": (256,), "repeats": 3},
+        "passes": 10,
+        "policy_ranks": (256, 2048),
+        "policy_repeats": 1,
+        "hetero": {"ranks": (256,), "repeats": 1},
         "mesh_ranks": 128,
         "mesh_blocks_per_rank": 3.0,
-        "mesh_repeats": 3,
+        "mesh_repeats": 1,
         "epoch_ranks": 32,
         "epoch_steps": 120,
-        "epoch_repeats": 2,
+        "epoch_repeats": 1,
         "scalebench": {"ranks": 131072, "shard_ranks": 4096, "repeats": 1},
-        "telemetry": {"partitions": 12, "rows_per_partition": 4_000, "repeats": 3},
+        "telemetry": {"partitions": 12, "rows_per_partition": 4_000, "repeats": 1},
     },
     "quick": {
+        "passes": 2,
         "policy_ranks": (2048, 8192),
         "policy_repeats": 5,
         "hetero": {"ranks": (2048, 8192), "repeats": 5},
@@ -98,6 +104,7 @@ PROFILES: Dict[str, Dict] = {
         "telemetry": {"partitions": 16, "rows_per_partition": 20_000, "repeats": 5},
     },
     "full": {
+        "passes": 1,
         "policy_ranks": (8192, 32768),
         "policy_repeats": 7,
         "hetero": {"ranks": (8192, 32768), "repeats": 7},
@@ -118,23 +125,32 @@ POLICY_ARMS = ("lpt", "cdp", "cdp-chunked", "cplx:50")
 BLOCKS_PER_RANK = 2.25      #: scalebench's blocks-per-rank ratio
 
 
-def _timed(fn: Callable[[], object]) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+#: Wall seconds of one timing sample: a kernel is called until the
+#: sample has run this long (at least once), and the sample is the mean
+#: time per call.
+SAMPLE_S = 0.02
 
 
 def _time_case(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict:
-    """Median, min and mean of ``repeats`` host-second timings of ``fn``
-    (after warmup runs)."""
+    """Median, min and mean host seconds per call of ``fn`` over
+    ``repeats`` samples of :data:`SAMPLE_S` each (after warmup runs)."""
     for _ in range(warmup):
         fn()
-    times = [_timed(fn) for _ in range(repeats)]
+    times, calls = [], 0
+    for _ in range(repeats):
+        n, t0 = 1, time.perf_counter()
+        fn()
+        while (elapsed := time.perf_counter() - t0) < SAMPLE_S:
+            fn()
+            n += 1
+        times.append(elapsed / n)
+        calls += n
     return {
         "median_s": statistics.median(times),
         "min_s": min(times),
         "mean_s": statistics.fmean(times),
         "repeats": len(times),
+        "calls": calls,
     }
 
 
@@ -166,24 +182,25 @@ def _bench_policies(
 
     repeats = params["policy_repeats"]
     for n_ranks in params["policy_ranks"]:
-        n_blocks = int(n_ranks * BLOCKS_PER_RANK)
-        for arm, name in enumerate(POLICY_ARMS):
-            # One cost seed per call (warm-up included) and per arm: a call
-            # on costs placed before would time a split memo hit, not the DP.
-            draws = iter([
-                make_costs(
-                    "exponential", n_blocks,
-                    seed=1234 + n_ranks + 7919 * (arm * (repeats + 1) + i),
-                )
-                for i in range(repeats + 1)
-            ])
+        costs = make_costs(
+            "exponential", int(n_ranks * BLOCKS_PER_RANK), seed=1234 + n_ranks
+        )
+        for name in POLICY_ARMS:
             policy = get_policy(name)
             key = name.replace(":", "")
             metric = f"policy.{key}.r{n_ranks}"
             metrics[metric] = _time_case(
-                lambda: policy.place(next(draws), n_ranks), repeats
+                lambda: _cold_place(policy, costs, n_ranks), repeats
             )
             log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
+
+
+def _cold_place(policy, costs: np.ndarray, n_ranks: int, ctx=None) -> None:
+    """Place on an empty split memo, so a repeat times the DP, not a hit."""
+    from ..core.chunked import cold_splits
+
+    with cold_splits():
+        policy.place(costs, n_ranks, ctx=ctx)
 
 
 def _bench_hetero(
@@ -214,7 +231,7 @@ def _bench_hetero(
             key = name.replace(":", "")
             metric = f"hetero.{key}.r{n_ranks}"
             metrics[metric] = _time_case(
-                lambda: policy.place(costs, n_ranks, ctx=ctx),
+                lambda: _cold_place(policy, costs, n_ranks, ctx),
                 knobs["repeats"],
             )
             log(f"{metric}: {metrics[metric]['median_s'] * 1e3:.2f} ms")
@@ -451,11 +468,20 @@ def run_bench(
         raise KeyError(f"unknown profile {profile!r}; have {sorted(PROFILES)}")
     params = PROFILES[profile]
     log: Callable[[str], None] = print if verbose else (lambda _msg: None)
-    metrics: Dict[str, Dict] = {}
-    derived: Dict[str, float] = {}
-    for _name, section in SECTIONS:
-        section(params, metrics, derived, log)
-    return {"meta": _environment(profile), "metrics": metrics, "derived": derived}
+    best: Dict[str, Dict] = {}
+    passes: List[Dict[str, float]] = []
+    for i in range(params["passes"]):
+        log(f"pass {i + 1}/{params['passes']}")
+        metrics: Dict[str, Dict] = {}
+        derived: Dict[str, float] = {}
+        for _name, section in SECTIONS:
+            section(params, metrics, derived, log)
+        for name, m in metrics.items():
+            if name not in best or m["median_s"] < best[name]["median_s"]:
+                best[name] = m
+        passes.append(derived)
+    derived = {k: statistics.median(d[k] for d in passes) for k in passes[0]}
+    return {"meta": _environment(profile), "metrics": best, "derived": derived}
 
 
 def write_bench(result: Dict, path: "str | os.PathLike") -> None:

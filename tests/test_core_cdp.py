@@ -1,6 +1,8 @@
 """Tests for the CDP family: restricted DP, full DP, chunking."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from repro.core import (
     get_policy,
     split_chunks,
 )
+from repro.bench.distributions import make_costs
+from repro.core import cdp
 from repro.core.cdp import cdp_restricted_zones
 from repro.core.chunked import _rank_shares, zone_ranges
 
@@ -67,6 +71,96 @@ class TestRestricted:
         m = counts_makespan(costs, counts)
         # best restricted split: [1,1] | [10,1,1] = 12 or [1,1,10] | [1,1]=12
         assert m == pytest.approx(12.0)
+
+
+def _zone_list(blocks_ranks):
+    """Contiguous ``(block_lo, block_hi, rank_lo, rank_hi)`` zones."""
+    zones, a, lo = [], 0, 0
+    for n, r in blocks_ranks:
+        zones.append((a, a + n, lo, lo + r))
+        a, lo = a + n, lo + r
+    return zones
+
+
+#: (blocks, ranks) per zone: floor sizes 0, 1 and 2 interleaved, with
+#: rank counts that differ by hundreds inside each floor size, so the
+#: smaller zones of a batch start hundreds of rows late.
+MIXED_ZONES = _zone_list([
+    (300, 700), (150, 100), (1000, 400), (25, 10), (900, 600), (3, 7),
+    (12, 5), (64, 32), (5, 2), (420, 200),
+])
+
+
+class TestZoneBatches:
+    @pytest.mark.parametrize("batch_bytes", [cdp._BATCH_BYTES, 30_000, 1])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_mixed_floor_sizes_equal_lone_cdp(self, batch_bytes, ties):
+        """Zones grouped by floor size, with long -inf/+inf lead-ins,
+        solve as if each ran alone, however they are batched."""
+        assert {(b - a) // (hi - lo) for a, b, lo, hi in MIXED_ZONES} == {0, 1, 2}
+        rng = np.random.default_rng(11)
+        n = MIXED_ZONES[-1][1]
+        costs = (
+            rng.integers(0, 4, n).astype(np.float64) if ties
+            else rng.exponential(1.0, n)
+        )
+        expected = np.concatenate(
+            [cdp_restricted(costs[a:b], hi - lo) for a, b, lo, hi in MIXED_ZONES]
+        )
+        with mock.patch.object(cdp, "_BATCH_BYTES", batch_bytes):
+            got = cdp_restricted_zones(costs, MIXED_ZONES)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("batch_bytes", [cdp._BATCH_BYTES, 30_000])
+    def test_batch_tables_stay_within_budget(self, batch_bytes):
+        """The skewed case of the scale digest (one zone of 4099 ranks on
+        17 blocks beside ~500 zones of 15-16 ranks).  The choice table
+        and difference buffers a batch allocates are what
+        :func:`_table_bytes` estimates, and fit :data:`_BATCH_BYTES`
+        unless one zone alone outgrows it; at the default budget all the
+        memory a batch's solve holds at once fits too."""
+        costs = make_costs("exponential", int(8192 * 2.25), seed=9)
+        costs[9000] = costs.sum()
+        zones = zone_ranges(costs, 8192, 16)
+        assert max(hi - lo for _, _, lo, hi in zones) == 4099
+        solve, real_empty, batches = cdp._restricted_dp, np.empty, []
+
+        def spy(costs, batch):
+            tables = []
+
+            def empty(shape, *args, **kwargs):
+                out = real_empty(shape, *args, **kwargs)
+                if out.ndim > 1:  # the 1-D prefix sums are per zone
+                    tables.append(out.nbytes)
+                return out
+
+            tracemalloc.start()
+            try:
+                with mock.patch.object(np, "empty", empty):
+                    out = solve(costs, batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows, width = max(z[3] for z in batch), max(z[5] for z in batch) + 1
+            estimate = cdp._table_bytes(len(batch), rows, width, batch[0][4])
+            batches.append((len(batch), sum(tables), estimate, peak))
+            return out
+
+        with mock.patch.object(cdp, "_restricted_dp", spy), \
+                mock.patch.object(cdp, "_BATCH_BYTES", batch_bytes):
+            got = cdp_restricted_zones(costs, zones)
+        np.testing.assert_array_equal(
+            got,
+            np.concatenate(
+                [cdp_restricted(costs[a:b], hi - lo) for a, b, lo, hi in zones]
+            ),
+        )
+        assert len(batches) > 1
+        for n_zones, tables, estimate, peak in batches:
+            assert tables == estimate
+            assert n_zones == 1 or tables <= batch_bytes
+            if batch_bytes == cdp._BATCH_BYTES:
+                assert peak <= batch_bytes
 
 
 class TestFullDP:

@@ -39,6 +39,29 @@ class TestRunBench:
         with pytest.raises(KeyError):
             run_bench(profile="nope")
 
+    def test_keeps_each_kernel_fastest_pass(self, monkeypatch):
+        reads = iter([3.0, 1.0, 2.0])
+
+        def section(params, metrics, derived, log):
+            t = next(reads)
+            metrics["k"] = {"median_s": t, "min_s": t, "mean_s": t, "repeats": 1}
+            derived["d"] = 10.0 * t
+
+        monkeypatch.setattr(bench, "SECTIONS", (("fake", section),))
+        monkeypatch.setitem(PROFILES["smoke"], "passes", 3)
+        result = run_bench(profile="smoke")
+        assert result["metrics"]["k"]["median_s"] == 1.0
+        assert result["derived"] == {"d": 20.0}
+
+    def test_samples_average_calls_over_the_wall_budget(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "SAMPLE_S", 0.0)
+        assert bench._time_case(lambda: calls.append(1), 3)["calls"] == 3
+        monkeypatch.setattr(bench, "SAMPLE_S", 0.01)
+        timed = bench._time_case(lambda: calls.append(1), 3)
+        assert timed["calls"] > 3 and timed["repeats"] == 3
+        assert len(calls) == 1 + 3 + 1 + timed["calls"]  # with warm-ups
+
     def test_document_shape(self, smoke_result):
         meta = smoke_result["meta"]
         assert meta["profile"] == "smoke"
