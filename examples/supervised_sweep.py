@@ -13,8 +13,8 @@ Every completed cell is journaled to disk the moment it finishes, so
 the second ``supervised_map`` call (``resume=True``) replays the
 completed cells instead of re-running them — exactly what
 ``repro sedov --journal DIR --resume`` does after a Ctrl-C or
-``kill -9``.  The executor's event log is ordinary telemetry,
-queryable through the plan engine.
+``kill -9``.  The executor's events come back on the report as
+ordinary telemetry, queryable through the plan engine.
 
 Run with::
 
@@ -31,9 +31,9 @@ from repro.perf.supervisor import (
     CHAOS_ENV,
     CellFailure,
     SupervisorConfig,
+    events_table,
     supervised_map,
 )
-from repro.telemetry.dataset import TelemetryDataset
 from repro.telemetry.query import sql_query
 
 
@@ -86,15 +86,16 @@ def main() -> None:
         assert resumed.counters["n_executed"] == 1
         assert not resumed.failures
 
-        # Executor events are telemetry: count them by kind through the
-        # plan engine (codes per repro.perf.supervisor.EVENT_CODES).
-        ds = TelemetryDataset.open(report.journal_path / "telemetry")
+        # Executor events are telemetry: count the faulty run's events by
+        # kind through the plan engine (codes per
+        # repro.perf.supervisor.EVENT_CODES).
         table = sql_query(
-            ds, "SELECT kind, count(cell) FROM events GROUP BY kind"
+            events_table(report.events),
+            "SELECT kind, count(cell) FROM events GROUP BY kind",
         ).run()
         print()
         print("executor events by kind (0=complete 1=crash 4=retry "
-              "5=quarantine 6=resume_hit):")
+              "5=quarantine):")
         for kind, n in zip(table["kind"], table["count_cell"]):
             print(f"  kind={int(kind)}  n={int(n)}")
 

@@ -359,6 +359,8 @@ def _run_sweep_cell(cell: _SweepCell) -> Tuple[PolicyOutcome, Dict[str, int]]:
         policy, trajectory, cluster, config.driver,
         hooks=[profiler] if profiler else None,
     )
+    # No sweep report reads the rows; a journal would pickle them per cell.
+    summary.collector = None
     # ``name:X`` arms report their paper-style label (CPL50, HCPL50).
     label = policy.label if ":" in cell.policy else cell.policy
     outcome = PolicyOutcome(

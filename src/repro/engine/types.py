@@ -67,7 +67,8 @@ class RunSummary:
     phase_rank_seconds: dict        #: compute/comm/sync/lb rank-second totals
     final_blocks: int
     placement_s_max: float          #: worst single placement computation
-    collector: TelemetryCollector
+    #: the run's telemetry rows (None in sedov sweep cells, which drop them)
+    collector: TelemetryCollector | None
     #: step-weighted mean per-step message-pair counts (Fig. 6c inputs)
     msg_intra_rank: float = 0.0
     msg_local: float = 0.0

@@ -38,16 +38,11 @@ __all__ = ["CancelToken", "DeadlineExceeded", "JobCancelled"]
 class JobCancelled(RuntimeError):
     """A run or sweep stopped because its cancel token was set.
 
-    When raised by :func:`~repro.perf.supervisor.supervised_map`, the
-    ``report`` attribute carries the partial
-    :class:`~repro.perf.supervisor.SupervisedReport` — completed cells
-    are already journaled, so a ``resume=True`` re-run finishes the
-    sweep bit-identically.
+    When raised by :func:`~repro.perf.supervisor.supervised_map`, it
+    carries the partial report on ``.report`` and completed cells are
+    already journaled: a ``resume=True`` re-run finishes the sweep
+    bit-identically.
     """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 class DeadlineExceeded(JobCancelled):

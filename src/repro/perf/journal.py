@@ -17,10 +17,10 @@ fsynced, renamed into place, and its directory fsynced):
 * ``sweep-<key>/meta.json`` — key, cell count, function name, digest;
 * ``sweep-<key>/cell-NNNNN.rec`` — magic + JSON header (index, payload
   SHA-256, length) + pickled result.  Torn or corrupt records fail
-  verification and are simply re-executed;
-* ``sweep-<key>/telemetry/`` — a :class:`~repro.telemetry.dataset.
-  TelemetryDataset` of executor events (one partition per run segment),
-  queryable through the plan engine / ``repro query``.
+  verification and are simply re-executed.
+
+Executor events are not journaled: they travel back on the sweep's
+report (:mod:`repro.service.runner` keeps the CLI's beside the journal).
 
 The commit point of a record is its rename; a parent killed with
 ``kill -9`` mid-write leaves at most a ``.tmp`` that the next open
@@ -79,9 +79,11 @@ class SweepJournal:
         self.cleanup_tmp()
         if not resume:
             # A fresh (non-resume) run must not mix with stale records.
-            for rec in self.dir.glob("cell-*.rec"):
+            stale = list(self.dir.glob("cell-*.rec"))
+            for rec in stale:
                 rec.unlink()
-            fsync_dir(self.dir)
+            if stale:
+                fsync_dir(self.dir)
 
     # ------------------------------------------------------------------ #
 
@@ -188,23 +190,3 @@ class SweepJournal:
             if 0 <= index < self.n_cells:
                 out[index] = result
         return out
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def telemetry_dir(self) -> Path:
-        return self.dir / "telemetry"
-
-    def append_events(self, table) -> None:
-        """Append a batch of executor events (a table built by
-        :func:`repro.perf.supervisor.events_table`) as a telemetry
-        partition (queryable with ``repro query <dir>/telemetry``)."""
-        from ..telemetry.dataset import TelemetryDataset
-
-        try:
-            ds = TelemetryDataset.open(self.telemetry_dir)
-        except FileNotFoundError:
-            # No manifest yet — or a create torn before its manifest
-            # landed, which left the directory but no partitions.
-            ds = TelemetryDataset.create(self.telemetry_dir)
-        ds.append(table, label=f"run-{ds.n_partitions:03d}")

@@ -28,9 +28,9 @@ bit-identical to its serial execution.  Supervision changes *which
 host process* computes a result and *when*, never the result.
 
 Executor events (retries, crashes, timeouts, quarantines, resume hits)
-are kept as structured records, surfaced as counters, and — when a
-journal is configured — appended to an on-disk telemetry dataset,
-one partition per run segment, queryable through the PR 5 plan engine.
+are structured records, surfaced as counters and handed back on the
+report; each front end keeps them in its own store (the service in the
+job's record, the CLI beside its journal: :mod:`repro.service.runner`).
 
 Fault-injection harness: the ``REPRO_CHAOS`` environment variable marks
 designated cells to ``crash`` (hard ``os._exit``), ``hang`` (sleep
@@ -528,7 +528,7 @@ class _Supervision:
 
     def report(self) -> SupervisedReport:
         """The sweep report.  After a cancel, unfinished cells' slots are
-        ``None`` (a *partial* report — carried on the JobCancelled)."""
+        ``None`` (a *partial* report — carried on the raised exception)."""
         counters = {
             "n_cells": len(self.cells),
             "n_executed": self.n_executed,
@@ -550,15 +550,6 @@ class _Supervision:
             counters=counters,
             journal_path=self.journal.dir if self.journal is not None else None,
         )
-
-    def flush_telemetry(self) -> None:
-        """Spool this run segment's events as one telemetry partition
-        (no-op journalless).  Called once, when the segment ends."""
-        if self.journal is not None and self.events:
-            try:
-                self.journal.append_events(events_table(self.events))
-            except OSError:
-                pass               # telemetry must never fail the sweep
 
 
 def _run_serial(fn, sup: _Supervision) -> None:
@@ -815,7 +806,8 @@ def supervised_map(
     flag file appears: pending cells are dropped, in-flight cells get
     ``config.cancel_grace_s`` to reach an epoch boundary, completed
     cells stay journaled, and :class:`~repro.perf.cancel.JobCancelled`
-    is raised carrying the partial report on ``.report``.
+    is raised.  Every exception the sweep propagates (a cancel, Ctrl-C,
+    a strict-mode failure) carries the partial report on ``.report``.
     """
     cells = list(items)
     cfg = config if config is not None else SupervisorConfig()
@@ -841,22 +833,11 @@ def supervised_map(
                 _run_pool(fn, sup, n_jobs)
             else:
                 _run_serial(fn, sup)
-    except JobCancelled as exc:
-        # Cooperative cancel: the journal holds every completed cell
-        # (resumable), the telemetry spool holds every event, and the
-        # exception carries the partial report for the caller.
+    except BaseException as exc:
+        # Cancel, Ctrl-C or a strict-mode failure: completed cells stay
+        # journaled (resumable); hand the caller the partial report.
         if journal is not None:
             journal.cleanup_tmp()
-        sup.flush_telemetry()
         exc.report = sup.report()
         raise
-    except BaseException:
-        # Interruption (Ctrl-C) or a strict-mode failure: the journal
-        # already holds every completed cell; leave no stray temp files
-        # and persist the events seen so far before propagating.
-        if journal is not None:
-            journal.cleanup_tmp()
-        sup.flush_telemetry()
-        raise
-    sup.flush_telemetry()
     return sup.report()

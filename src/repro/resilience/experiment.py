@@ -27,7 +27,7 @@ from ..amr.driver import DriverConfig, RunSummary
 from ..core.policy import get_policy
 from ..amr.sedov import SedovConfig, SedovEpoch, SedovWorkload
 from ..engine.hooks import PhaseProfilerHook
-from ..perf.supervisor import STRICT, SupervisorConfig, supervised_map
+from ..perf.supervisor import STRICT, SupervisedReport, SupervisorConfig, supervised_map
 from ..simnet.cluster import Cluster
 from ..simnet.faults import (
     NO_TRANSPORT_FAULTS,
@@ -124,6 +124,8 @@ class ResilienceExperimentResult:
     deterministic: Optional[bool]   #: None when the check was skipped
     #: arm name -> PhaseProfilerHook, when run with ``profile=True``
     profiles: Optional[Dict[str, PhaseProfilerHook]] = None
+    #: the supervision report, when run with ``supervise``
+    executor: Optional[SupervisedReport] = None
 
     @property
     def recovery_fraction(self) -> float:
@@ -256,8 +258,8 @@ def run_resilience_experiment(
     With ``supervise`` set, arms run on the supervised executor (crash
     respawn, retries, timeouts, resumable journal).  Unlike sweeps,
     every arm is *required* — a quarantined arm makes the derived
-    numbers meaningless, so it raises :class:`RuntimeError` instead of
-    returning a partial result.
+    numbers meaningless, so it raises :class:`RuntimeError` (carrying
+    the report on ``.report``) instead of returning a partial result.
     """
     arms = ["healthy", "unmitigated", "resilient"]
     if config.check_determinism:
@@ -273,7 +275,9 @@ def run_resilience_experiment(
             f" ({f.error})"
             for f in report.failures
         )
-        raise RuntimeError(f"resilience experiment arm(s) quarantined: {detail}")
+        exc = RuntimeError(f"resilience experiment arm(s) quarantined: {detail}")
+        exc.report = report
+        raise exc
     results = report.results
     summaries = {arm: summary for arm, (summary, _) in zip(arms, results)}
     profiles: Optional[Dict[str, PhaseProfilerHook]] = (
@@ -304,4 +308,5 @@ def run_resilience_experiment(
         resilient=summaries["resilient"],
         deterministic=deterministic,
         profiles=profiles,
+        executor=report if supervise is not None else None,
     )

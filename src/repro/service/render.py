@@ -54,11 +54,13 @@ def supervised_lines(report: SupervisedReport) -> List[str]:
             f"[item={f.item_repr}]"
         )
     if report.journal_path is not None:
-        lines.append(
-            f"journal: {report.journal_path} "
-            f"(events queryable: repro query {report.journal_path}/telemetry "
+        # The CLI keeps a run's events there; the server writes none.
+        events = report.journal_path / "telemetry"
+        lines.append(f"journal: {report.journal_path}" + (
+            f" (events queryable: repro query {events} "
             f'"SELECT kind, count(cell) FROM events GROUP BY kind")'
-        )
+            if events.is_dir() else ""
+        ))
     return lines
 
 

@@ -15,6 +15,10 @@ JobCancelled` is converted into a ``cancelled=True`` result carrying
 the partial supervision report, and the journal it leaves behind is
 resumable (``resume_of`` on a later submit, or ``--resume`` on the
 CLI) to a bit-identical completion.
+
+A caller passing ``on_event`` (the server) keeps the executor events
+itself; for any other (the CLI) the runner appends each run segment's
+events as one ``run-NNN`` partition of ``<journal>/telemetry``.
 """
 
 from __future__ import annotations
@@ -94,6 +98,28 @@ def _pattern_counters(outcome: JobOutcome) -> Dict[str, int]:
     return totals
 
 
+def _keep_events(report, on_event) -> None:
+    """Unless the caller takes them (``on_event``), append a journaled
+    run segment's executor events (at its end, on cancel or on
+    interruption) to ``<journal>/telemetry``."""
+    if (on_event is not None or report is None
+            or report.journal_path is None or not report.events):
+        return
+    from ..perf.supervisor import events_table
+    from ..telemetry.dataset import TelemetryDataset
+
+    path = report.journal_path / "telemetry"
+    try:
+        try:
+            ds = TelemetryDataset.open(path)
+        except FileNotFoundError:  # none yet, or a create torn pre-manifest
+            ds = TelemetryDataset.create(path)
+        ds.append(events_table(report.events),
+                  label=f"run-{ds.n_partitions:03d}")
+    except OSError:
+        pass                       # telemetry must never fail the run
+
+
 class JobRunner:
     """Runs specs, turning each outcome into a :class:`JobResult`.
 
@@ -119,10 +145,14 @@ class JobRunner:
         traj = _probe_traj_cache(spec)
         try:
             outcome = kind.execute(spec, on_event)
-        except JobCancelled as exc:
-            return self._cancelled_result(spec, exc, traj)
-        lines = kind.render(spec, outcome)
+        except BaseException as exc:
+            _keep_events(getattr(exc, "report", None), on_event)
+            if isinstance(exc, JobCancelled):
+                return self._cancelled_result(spec, exc, traj)
+            raise
         report = outcome.executor
+        _keep_events(report, on_event)
+        lines = kind.render(spec, outcome)
         return JobResult(
             kind=spec.kind,
             tenant=spec.tenant,

@@ -240,6 +240,7 @@ def _resilience_execute(spec: JobSpec, on_event) -> JobOutcome:
     )
     return JobOutcome(
         result=result,
+        executor=result.executor,
         summaries=(result.healthy, result.unmitigated, result.resilient),
     )
 

@@ -55,6 +55,11 @@ def _journal_cell(x):
     return (x, x * x, f"cell-{x}")
 
 
+#: a 2-cell sedov job and a 5-cell scalebench job (five X values)
+_SEDOV = {"scales": [512], "steps": 20, "policies": ["baseline", "cplx:50"]}
+_SCALEBENCH = {"scales": [256], "repeats": 1, "distributions": ["exponential"]}
+
+
 class TestChaosSpec:
     def test_parse(self):
         rules = parse_chaos_spec("crash:2;hang:5@1;flaky:7@2")
@@ -157,6 +162,42 @@ class TestFaultFreeCost:
         assert [e.kind for e in report.events] == ["complete"] * 8
         assert sorted(e.cell for e in report.events) == list(range(8))
 
+    @pytest.mark.parametrize("kind, params, service, fsyncs", [
+        # meta.json (file + directory) and two per cell record ...
+        ("sedov", _SEDOV, True, 6),
+        ("scalebench", _SCALEBENCH, True, 12),
+        # ... plus, for the CLI, the events partition and its manifest
+        ("sedov", _SEDOV, False, 12),
+        ("scalebench", _SCALEBENCH, False, 18),
+    ])
+    def test_journaled_job_fsyncs_counted(
+        self, tmp_path, monkeypatch, kind, params, service, fsyncs
+    ):
+        """A journaled job's durability cost, pinned by counted fsyncs.
+        A service job (``on_event`` given) keeps its events itself, so
+        its journal holds only metadata and cell records."""
+        from repro.perf.trajcache import CACHE_ENV
+        from repro.service import JobRunner, spec_from_params
+
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        spec = spec_from_params(kind, params, supervise=SupervisorConfig(
+            journal_dir=str(tmp_path), shared_pattern_store=service,
+        ))
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        result = JobRunner().run(
+            spec, on_event=(lambda ev: None) if service else None
+        )
+        assert result.exit_code == 0
+        assert len(calls) == fsyncs
+
 
 class TestQuarantine:
     @pytest.mark.parametrize("jobs", _JOBS)
@@ -193,6 +234,8 @@ class TestQuarantine:
                 config=SupervisorConfig(retries=0, strict=True),
             )
         assert exc_info.value.index == 2
+        # The partial report rides on the exception, as on a cancel.
+        assert exc_info.value.report.results[2] is None
 
 
 class TestChaosAcceptance:
@@ -236,6 +279,22 @@ class TestChaosAcceptance:
 
 
 class TestJournalResume:
+    def test_sedov_cell_record_is_small(self, tmp_path, monkeypatch):
+        """A sedov cell's record holds its outcome without the arm's
+        telemetry rows, which no sweep report reads after the run."""
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        config = SedovSweepConfig(
+            scales=(512,), policies=("baseline", "cplx:50"), steps=20,
+        )
+        result = run_sedov_sweep(
+            config, supervise=SupervisorConfig(journal_dir=str(tmp_path)),
+        )
+        records = list(result.executor.journal_path.glob("cell-*.rec"))
+        assert len(records) == 2
+        for rec in records:
+            assert rec.stat().st_size < 16 * 1024
+        assert all(o.summary.collector is None for o in result.outcomes)
+
     def test_full_resume_replays_everything(self, tmp_path):
         items = list(range(6))
         cfg = SupervisorConfig(journal_dir=str(tmp_path))
@@ -417,63 +476,73 @@ class TestInterruption:
             resumed.counters["n_executed"] == 8
 
 
+def _run_job(journal_dir, monkeypatch, resume=False, retries=2):
+    """Run the 5-cell scalebench job through the CLI's runner path (no
+    ``on_event``); returns its result and the reports of its sweep."""
+    from repro.bench import scalebench
+    from repro.service import JobRunner, spec_from_params
+
+    reports = []
+    real_map = scalebench.supervised_map
+
+    def spy_map(*args, **kwargs):
+        try:
+            reports.append(real_map(*args, **kwargs))
+        except BaseException as exc:
+            reports.append(exc.report)
+            raise
+        return reports[-1]
+
+    monkeypatch.setattr(scalebench, "supervised_map", spy_map)
+    spec = spec_from_params("scalebench", _SCALEBENCH, supervise=SupervisorConfig(
+        retries=retries, journal_dir=str(journal_dir), resume=resume,
+    ))
+    return JobRunner().run(spec), reports
+
+
 class TestTelemetryEvents:
+    """Without an ``on_event`` caller the runner keeps each run
+    segment's executor events beside the journal, as one partition of
+    ``<journal>/telemetry``."""
+
     def test_events_are_queryable_through_plan_engine(self, tmp_path, monkeypatch):
         from repro.telemetry.dataset import TelemetryDataset
         from repro.telemetry.query import sql_query
 
         monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
-        report = supervised_map(
-            _square, list(range(5)), jobs=2,
-            config=SupervisorConfig(
-                retries=1, journal_dir=str(tmp_path)
-            ),
-        )
-        assert report.results == [x * x for x in range(5)]
-        ds = TelemetryDataset.open(Path(report.journal_path) / "telemetry")
-        result = sql_query(
+        result, _ = _run_job(tmp_path, monkeypatch, retries=1)
+        assert result.counters["n_executed"] == 5
+        ds = TelemetryDataset.open(Path(result.journal_path) / "telemetry")
+        table = sql_query(
             ds, "SELECT kind, count(cell) FROM events GROUP BY kind"
         ).run()
         by_kind = {
             int(k): int(n)
-            for k, n in zip(result["kind"], result["count_cell"])
+            for k, n in zip(table["kind"], table["count_cell"])
         }
         assert by_kind[EVENT_CODES["complete"]] == 5
         assert by_kind[EVENT_CODES["error"]] == 1
         assert by_kind[EVENT_CODES["retry"]] == 1
 
     def test_spooled_events_equal_events_table(self, tmp_path, monkeypatch):
-        """Under the service's supervisor config a journaled sweep spools
-        one events partition per run segment, and each partition is the
-        segment's in-memory report table: same columns, dtypes and ids."""
-        import dataclasses
-
-        from repro.service.server import JobService, ServiceConfig
-        from repro.service.store import JobRecord
+        """One partition per run segment, each the segment's in-memory
+        report table (same columns, dtypes and ids), and the rendered
+        journal line points at the dataset."""
         from repro.telemetry.columnar import read_table
         from repro.telemetry.dataset import TelemetryDataset
 
-        service = JobService(ServiceConfig(journal_root=str(tmp_path)))
-        job = service._new_job(JobRecord(
-            job_id="job-0001", seq=1, kind="sedov", params={},
-            tenant="default", priority=0, jobs=1, state="submitted",
-            journal_dir=str(tmp_path / "job-0001"), spec_hash="",
-        ), resume=False)
-        config = dataclasses.replace(job.spec.supervise, retries=1)
         monkeypatch.setenv(CHAOS_ENV, "flaky:1@1")
-        first = supervised_map(_square, list(range(4)), jobs=2, config=config)
+        first, (report1,) = _run_job(tmp_path, monkeypatch, retries=1)
         assert first.counters["n_retries"] == 1
         monkeypatch.delenv(CHAOS_ENV)
-        second = supervised_map(
-            _square, list(range(4)), jobs=2,
-            config=dataclasses.replace(config, resume=True),
-        )
-        assert second.counters["n_resume_hits"] == 4
-        ds = TelemetryDataset.open(Path(first.journal_path) / "telemetry")
-        parts = ds.partition_files()
+        second, (report2,) = _run_job(tmp_path, monkeypatch, resume=True)
+        assert second.counters["n_resume_hits"] == 5
+        telemetry = Path(first.journal_path) / "telemetry"
+        parts = TelemetryDataset.open(telemetry).partition_files()
         assert len(parts) == 2
-        assert read_table(parts[0]) == events_table(first.events)
-        assert read_table(parts[1]) == events_table(second.events)
+        assert read_table(parts[0]) == events_table(report1.events)
+        assert read_table(parts[1]) == events_table(report2.events)
+        assert f"repro query {telemetry} " in second.text
 
     def test_events_table_in_memory(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
@@ -484,42 +553,67 @@ class TestTelemetryEvents:
         assert table.n_rows == 3
         assert list(table["kind"]) == [EVENT_CODES["complete"]] * 3
 
-    def test_resume_events_accumulate_partitions(self, tmp_path):
+    def test_resume_events_accumulate_partitions(self, tmp_path, monkeypatch):
         from repro.telemetry.dataset import TelemetryDataset
 
-        items = list(range(3))
-        cfg = SupervisorConfig(journal_dir=str(tmp_path))
-        supervised_map(_journal_cell, items, jobs=1, config=cfg)
-        report = supervised_map(
-            _journal_cell, items, jobs=1,
-            config=SupervisorConfig(journal_dir=str(tmp_path), resume=True),
-        )
-        ds = TelemetryDataset.open(Path(report.journal_path) / "telemetry")
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        _run_job(tmp_path, monkeypatch)
+        result, _ = _run_job(tmp_path, monkeypatch, resume=True)
+        ds = TelemetryDataset.open(Path(result.journal_path) / "telemetry")
         assert ds.n_partitions == 2
         assert ds.labels() == ["run-000", "run-001"]
 
-    def test_spool_recreates_a_torn_dataset(self, tmp_path):
+    def test_spool_recreates_a_torn_dataset(self, tmp_path, monkeypatch):
         """A dataset create killed before its manifest landed leaves an
-        empty telemetry directory; the next run segment spools into it
+        empty telemetry directory; the next run segment writes into it
         instead of dropping its events."""
         from repro.telemetry.dataset import TelemetryDataset
 
-        items = list(range(3))
-        first = supervised_map(
-            _journal_cell, items, jobs=1,
-            config=SupervisorConfig(journal_dir=str(tmp_path)),
-        )
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        first, _ = _run_job(tmp_path, monkeypatch)
         telemetry = Path(first.journal_path) / "telemetry"
         for f in telemetry.iterdir():
             f.unlink()
-        report = supervised_map(
-            _journal_cell, items, jobs=1,
-            config=SupervisorConfig(journal_dir=str(tmp_path), resume=True),
-        )
+        result, _ = _run_job(tmp_path, monkeypatch, resume=True)
         ds = TelemetryDataset.open(telemetry)
         assert ds.labels() == ["run-000"]
         assert ds.n_partitions == 1
-        assert report.counters["n_resume_hits"] == 3
+        assert result.counters["n_resume_hits"] == 5
+
+    @pytest.mark.parametrize("stop_cell", [2, 0])
+    def test_interrupted_run_keeps_events_seen_so_far(
+        self, tmp_path, monkeypatch, stop_cell
+    ):
+        """Ctrl-C in a serial cell: the propagated exception carries the
+        partial report, and its events land as the segment's partition
+        (none when no event was recorded yet)."""
+        from repro.bench import scalebench
+        from repro.telemetry.columnar import read_table
+        from repro.telemetry.dataset import TelemetryDataset
+
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        real_cell = scalebench._run_scalebench_cell
+        stop_x = [0.0, 25.0, 50.0, 75.0, 100.0][stop_cell]
+
+        def interrupted_cell(cell):
+            if cell.x == stop_x:
+                raise KeyboardInterrupt
+            return real_cell(cell)
+
+        monkeypatch.setattr(scalebench, "_run_scalebench_cell", interrupted_cell)
+        with pytest.raises(KeyboardInterrupt) as exc_info:
+            _run_job(tmp_path, monkeypatch)
+        report = exc_info.value.report
+        assert [(e.cell, e.kind) for e in report.events] == [
+            (i, "complete") for i in range(stop_cell)
+        ]
+        telemetry = report.journal_path / "telemetry"
+        if not report.events:
+            assert not telemetry.exists()
+            return
+        ds = TelemetryDataset.open(telemetry)
+        assert ds.labels() == ["run-000"]
+        assert read_table(ds.partition_files()[0]) == events_table(report.events)
 
 
 class TestReportShape:

@@ -11,6 +11,7 @@ import asyncio
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +338,30 @@ class TestServiceEndToEnd:
             kinds = [e["kind"] for e in c.stream_events(job, poll_s=0.1)]
             assert kinds.count("complete") == 2
             assert c.status(job)["state"] == "done"
+
+    def test_finished_job_journal_holds_no_event_dataset(self, live_service):
+        """The server keeps a job's events in its record, so the job's
+        journal holds only its metadata and cell records: ``events`` and
+        ``query`` still answer, and the result text names no dataset."""
+        svc = live_service()
+        with svc.client() as c:
+            job = c.submit("sedov", TINY, tenant="alice")
+            reply = c.result(job, timeout_s=300)
+            assert reply["state"] == "done"
+            kinds = [e["kind"] for e in c.events(job)["events"]]
+            rows = c.query(job, "SELECT kind, count(cell) FROM events "
+                                "GROUP BY kind")
+        (sweep,) = Path(svc.service.jobs[job].journal_dir).glob("sweep-*")
+        assert sorted(p.name for p in sweep.iterdir()) == [
+            "cell-00000.rec", "cell-00001.rec", "meta.json",
+        ]
+        assert kinds == ["complete", "complete"]
+        assert rows["columns"] == {
+            "kind": [EVENT_CODES["complete"]], "count_cell": [2],
+        }
+        assert reply["result"]["journal_path"] == str(sweep)
+        assert f"journal: {sweep}\n" in reply["result"]["text"]
+        assert "telemetry" not in reply["result"]["text"]
 
     def test_query_and_events_read_one_source(self, live_service, monkeypatch):
         """Per-kind counts from SQL equal those of the streamed records,
